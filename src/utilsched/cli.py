@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, sample_gains
-from .errors import ConvergenceError, DegenerateBudgetError
+from .errors import NUMERIC_ERRORS
 from .fairness import adapt_weights
 from .oracles import central_difference, grid_search_shares
 from .quantized import QuantizedScheduler
@@ -269,13 +269,18 @@ def cmd_fairness(args) -> int:
         raise ConfigError(f"mean_snr_db needs 1 or {n} values, got {len(snr)}")
     concavity = config["concavity"]
     concavity = concavity if isinstance(concavity, list) else [concavity] * n
+    if len(concavity) != n:
+        raise ConfigError(f"concavity needs 1 or {n} values, got {len(concavity)}")
 
-    link = LinkBudget(snr_gap_db=config["snr_gap_db"])
-    model = ChannelModel.from_snr_db(np.array(snr), link)
-    utilities = [LogUtility(a) for a in concavity]
+    try:
+        link = LinkBudget(snr_gap_db=config["snr_gap_db"])
+        model = ChannelModel.from_snr_db(np.array(snr), link)
+        utility = LogUtility(concavity)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     weights, report = adapt_weights(
         model,
-        utilities,
+        utility,
         link,
         tolerance=config["tolerance"],
         n_samples=config["frames"],
@@ -472,7 +477,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, DegenerateBudgetError, ValueError, FloatingPointError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

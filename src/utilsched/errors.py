@@ -15,3 +15,7 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateBudgetError(ValueError):
     """A power budget cannot be met (e.g. every sampled gain is zero)."""
+
+
+# what a numerically failing run raises: caught per sweep point, exit code 3
+NUMERIC_ERRORS = (ConvergenceError, DegenerateBudgetError, ValueError, FloatingPointError)

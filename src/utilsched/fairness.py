@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import ChannelModel, LinkBudget, achievable_rate, sample_gains
 from .errors import ConvergenceError
-from .timeshare import _as_utility_list, allocate_ts
+from .timeshare import allocate_ts
+from .utility import as_utility
 
 __all__ = ["FairnessReport", "weighted_allocate", "average_utilities", "adapt_weights"]
 
@@ -54,12 +55,11 @@ def average_utilities(peak_rate_samples, utilities, weights) -> np.ndarray:
     """
     samples = np.asarray(peak_rate_samples, dtype=float)
     n, nu = samples.shape
-    utils = _as_utility_list(utilities, nu)
+    u = as_utility(utilities, nu)
     totals = np.zeros(nu)
     for i in range(n):
-        shares, _ = weighted_allocate(samples[i], utils, weights)
-        for j, u in enumerate(utils):
-            totals[j] += u.value(shares[j] * samples[i, j])
+        shares, _ = weighted_allocate(samples[i], u, weights)
+        totals += u.value(shares * samples[i])
     return totals / n
 
 
@@ -93,14 +93,14 @@ def adapt_weights(
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     nu = model.n_users
-    utils = _as_utility_list(utilities, nu)
+    u = as_utility(utilities, nu)
     gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])
     rates = achievable_rate(gains, link.transmit_power, link)
 
     weights = np.full(nu, 1.0 / nu)
     best = None
     for it in range(max_iterations + 1):
-        avg = average_utilities(rates, utils, weights)
+        avg = average_utilities(rates, u, weights)
         spread = float(avg.max() - avg.min())
         report = FairnessReport(avg, float(avg.mean()), spread, it)
         if best is None or spread < best[1].spread:

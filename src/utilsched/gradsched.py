@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .timeshare import _as_utility_list
+from .utility import as_utility
 
 __all__ = ["GradientSchedulerState", "select_user", "update_state"]
 
@@ -40,10 +40,7 @@ class GradientSchedulerState:
 def select_user(state: GradientSchedulerState, peak_rates, utilities) -> int:
     """Index of argmax_i U_i'(R_i) * c_i; ties go to the lowest index."""
     c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
-    utils = _as_utility_list(utilities, c.size)
-    scores = np.array(
-        [u.derivative(r) * ci for u, r, ci in zip(utils, state.avg_rates, c)]
-    )
+    scores = as_utility(utilities, c.size).derivative(state.avg_rates) * c
     return int(np.argmax(scores))
 
 

@@ -8,7 +8,7 @@ the project's main correctness evidence.
 
 import numpy as np
 
-from .timeshare import _as_utility_list
+from .utility import as_utility
 
 __all__ = ["grid_search_shares", "central_difference"]
 
@@ -22,7 +22,7 @@ def grid_search_shares(peak_rates, utilities, step=1e-3, weights=None):
     """
     c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
     n = c.size
-    utils = _as_utility_list(utilities, n)
+    u = as_utility(utilities, n)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
 
     m = int(round(1.0 / step))
@@ -39,9 +39,7 @@ def grid_search_shares(peak_rates, utilities, step=1e-3, weights=None):
     else:
         raise ValueError("grid search supports at most 3 users")
 
-    total = np.zeros(grid.shape[0])
-    for j, u in enumerate(utils):
-        total += w[j] * u.value(grid[:, j] * c[j])
+    total = (w * u.value(grid * c)).sum(axis=1)
     best = int(np.argmax(total))
     return grid[best], float(total[best])
 

@@ -21,7 +21,7 @@ block update is an exact maximization, the recorded objective sequence is
 nondecreasing, which the tests assert directly.
 
 All inner solves are bisections vectorized across the whole sample grid;
-users sharing one utility are sliced into a single vectorized call.
+each marginal is one call of the users' utility on the whole grid.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,8 @@ import numpy as np
 
 from .channel import LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
-from .timeshare import _as_utility_list, allocate_ts, aggregate_utility
+from .timeshare import allocate_ts, aggregate_utility
+from .utility import as_utility
 
 __all__ = [
     "PowerPolicy",
@@ -67,7 +68,7 @@ class PowerPolicy:
     """Converged per-sample shares and energies plus the fixed multipliers.
 
     ``multipliers`` are the energy water levels: one per user for the uplink,
-    a single scalar for the downlink.  They define the policy on gains
+    a length-1 array for the downlink.  They define the policy on gains
     outside the sample set (see ``apply_policy``).
     """
 
@@ -86,52 +87,6 @@ class PowerPolicy:
             )
 
 
-# ---------------------------------------------------------------------------
-# vectorized marginals over a (n_samples, n_users) grid
-
-
-def _user_groups(utils):
-    """Group user columns by utility so symmetric grids need one call."""
-    groups = []
-    seen = {}
-    for j, u in enumerate(utils):
-        try:
-            key = hash(u), u
-        except TypeError:
-            key = id(u)
-        if key in seen:
-            groups[seen[key]][1].append(j)
-        else:
-            seen[key] = len(groups)
-            groups.append((u, [j]))
-    return [(u, np.array(idx)) for u, idx in groups]
-
-
-def _share_marginals(groups, share, energies, gains, link, out=None):
-    if out is None:
-        out = np.empty_like(energies)
-    for u, idx in groups:
-        out[:, idx] = u.marginal_share_with_energy(
-            share[:, idx], energies[:, idx], gains[:, idx], link
-        )
-    return out
-
-
-def _energy_marginals(groups, shares, energy, gains, link, out=None):
-    if out is None:
-        out = np.empty_like(energy)
-    for u, idx in groups:
-        out[:, idx] = u.marginal_energy(shares[:, idx], energy[:, idx], gains[:, idx], link)
-    return out
-
-
-def _group_values(groups, shares, energies, gains, link):
-    out = np.empty_like(energies)
-    for u, idx in groups:
-        out[:, idx] = u.value_with_energy(shares[:, idx], energies[:, idx], gains[:, idx], link)
-    return out
-
-
 def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     """Optimal per-sample shares given fixed per-sample energies.
 
@@ -145,18 +100,18 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
     n, nu = gains.shape
-    utils = _as_utility_list(utilities, nu)
-    groups = _user_groups(utils)
+    u = as_utility(utilities, nu)
     active = (energies > 0) & (gains > 0)
 
     if nu == 1:
         return np.ones((n, 1))
     if nu == 2:
-        return _update_shares_pair(groups, gains, energies, link, active)
-    return _update_shares_general(groups, gains, energies, link, active)
+        # kept beside the general path: one bisection per sample, not a nested one, is far faster
+        return _update_shares_pair(u, gains, energies, link, active)
+    return _update_shares_general(u, gains, energies, link, active)
 
 
-def _update_shares_pair(groups, gains, energies, link, active):
+def _update_shares_pair(u, gains, energies, link, active):
     """Equalize the two marginals by bisection on the first user's share."""
     n = gains.shape[0]
     lo = np.zeros(n)
@@ -166,7 +121,7 @@ def _update_shares_pair(groups, gains, energies, link, active):
         mid = 0.5 * (lo + hi)
         rho[:, 0] = mid
         rho[:, 1] = 1.0 - mid
-        m = _share_marginals(groups, rho, energies, gains, link)
+        m = u.marginal_share_with_energy(rho, energies, gains, link)
         grow = m[:, 0] > m[:, 1]
         lo = np.where(grow, mid, lo)
         hi = np.where(grow, hi, mid)
@@ -178,13 +133,13 @@ def _update_shares_pair(groups, gains, energies, link, active):
     return np.column_stack([first, 1.0 - first])
 
 
-def _update_shares_general(groups, gains, energies, link, active):
+def _update_shares_general(u, gains, energies, link, active):
     n, nu = gains.shape
     live = active.any(axis=1)
 
     ones = np.ones((n, nu))
-    m_low = _share_marginals(groups, ones / nu, energies, gains, link)
-    m_one = _share_marginals(groups, ones, energies, gains, link)
+    m_low = u.marginal_share_with_energy(ones / nu, energies, gains, link)
+    m_one = u.marginal_share_with_energy(ones, energies, gains, link)
 
     hi = np.where(active, m_low, 0.0).max(axis=1)
     lo = np.where(active, m_one, np.inf).min(axis=1)
@@ -197,7 +152,7 @@ def _update_shares_general(groups, gains, energies, link, active):
         at_cap = active & (m_one >= lam[:, None])
         for _ in range(INNER_BISECT):
             mid = 0.5 * (rho_lo + rho_hi)
-            m = _share_marginals(groups, mid, energies, gains, link)
+            m = u.marginal_share_with_energy(mid, energies, gains, link)
             grow = m > lam[:, None]
             rho_lo = np.where(grow, mid, rho_lo)
             rho_hi = np.where(grow, rho_hi, mid)
@@ -219,7 +174,7 @@ def _update_shares_general(groups, gains, energies, link, active):
     return shares
 
 
-def _waterfill_energies(groups, gains, shares, link, multiplier, m_zero=None):
+def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
     ``multiplier`` broadcasts over the (n_samples, n_users) grid.
@@ -227,14 +182,14 @@ def _waterfill_energies(groups, gains, shares, link, multiplier, m_zero=None):
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
     if m_zero is None:
-        m_zero = _energy_marginals(groups, shares, zeros, gains, link)
+        m_zero = u.marginal_energy(shares, zeros, gains, link)
     active = (shares > 0) & (gains > 0) & (m_zero > multiplier)
     if not active.any():
         return zeros
 
     s_hi = np.ones((n, nu))
     for _ in range(120):
-        m = _energy_marginals(groups, shares, np.where(active, s_hi, 0.0), gains, link)
+        m = u.marginal_energy(shares, np.where(active, s_hi, 0.0), gains, link)
         need = active & (m >= multiplier)
         if not need.any():
             break
@@ -243,7 +198,7 @@ def _waterfill_energies(groups, gains, shares, link, multiplier, m_zero=None):
     s_lo = np.zeros((n, nu))
     for _ in range(INNER_BISECT):
         mid = 0.5 * (s_lo + s_hi)
-        m = _energy_marginals(groups, shares, np.where(active, mid, 0.0), gains, link)
+        m = u.marginal_energy(shares, np.where(active, mid, 0.0), gains, link)
         grow = active & (m > multiplier)
         s_lo = np.where(grow, mid, s_lo)
         s_hi = np.where(grow, s_hi, mid)
@@ -266,31 +221,46 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     DegenerateBudgetError
         If a user's budget cannot be met (all gains or shares zero).
     """
+    return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False)
+
+
+def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBudget):
+    """Downlink variant: one multiplier, sample-average total energy budget.
+
+    Returns ``(energies, multipliers)`` with a length-1 multiplier array.
+    """
+    return _meet_budgets(gains, shares, utilities, total_budget, link, pooled=True)
+
+
+def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
+    """Bisect one water level per budget until the energy it governs meets it.
+
+    The uplink's N levels each govern one user's sample-average energy; the
+    pooled level governs the sample-average total over all users.
+    """
     gains = np.asarray(gains, dtype=float)
     shares = np.asarray(shares, dtype=float)
     n, nu = gains.shape
-    utils = _as_utility_list(utilities, nu)
-    groups = _user_groups(utils)
-    budgets = np.broadcast_to(np.asarray(budgets, dtype=float), (nu,)).copy()
+    u = as_utility(utilities, nu)
+    budgets = np.broadcast_to(np.asarray(budgets, dtype=float), (1 if pooled else nu,))
     if np.any(budgets <= 0):
         raise ValueError("power budgets must be > 0")
 
-    m_zero = _energy_marginals(groups, shares, np.zeros((n, nu)), gains, link)
-    peak = m_zero.max(axis=0)
+    def spent(energies):
+        return energies.sum(axis=1).mean(keepdims=True) if pooled else energies.mean(axis=0)
+
+    m_zero = u.marginal_energy(shares, np.zeros((n, nu)), gains, link)
+    peak = np.array([m_zero.max()]) if pooled else m_zero.max(axis=0)
     if np.any(peak <= 0):
-        bad = np.flatnonzero(peak <= 0)
-        raise DegenerateBudgetError(
-            f"users {bad.tolist()} cannot spend any energy (zero gains or shares)"
-        )
+        who = "no user can" if pooled else f"users {np.flatnonzero(peak <= 0).tolist()} cannot"
+        raise DegenerateBudgetError(f"{who} spend any energy (zero gains or shares)")
 
-    def averages(lam):
-        s = _waterfill_energies(groups, gains, shares, link, lam[None, :], m_zero)
-        return s.mean(axis=0)
+    def spent_at(lam):
+        return spent(_waterfill_energies(u, gains, shares, link, lam[None, :], m_zero))
 
-    hi = peak.copy()
-    lo = peak.copy()
+    lo = hi = peak
     for _ in range(200):
-        short = averages(lo) < budgets
+        short = spent_at(lo) < budgets
         if not short.any():
             break
         lo = np.where(short, lo / 2.0, lo)
@@ -299,64 +269,22 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
 
     for _ in range(ENERGY_BISECT):
         lam = 0.5 * (lo + hi)
-        over = averages(lam) > budgets
+        over = spent_at(lam) > budgets
         # spending too much means the multiplier is too low
         lo = np.where(over, lam, lo)
         hi = np.where(over, hi, lam)
 
     lam = 0.5 * (lo + hi)
-    energies = _waterfill_energies(groups, gains, shares, link, lam[None, :], m_zero)
-    # absorb the last bisection gap so the sample-average meets the budget exactly
-    scale = budgets / energies.mean(axis=0)
-    return energies * scale[None, :], lam
-
-
-def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBudget):
-    """Downlink variant: one multiplier, sample-average total energy budget."""
-    gains = np.asarray(gains, dtype=float)
-    shares = np.asarray(shares, dtype=float)
-    n, nu = gains.shape
-    utils = _as_utility_list(utilities, nu)
-    groups = _user_groups(utils)
-    if total_budget <= 0:
-        raise ValueError("total power budget must be > 0")
-
-    m_zero = _energy_marginals(groups, shares, np.zeros((n, nu)), gains, link)
-    peak = float(m_zero.max())
-    if peak <= 0:
-        raise DegenerateBudgetError("no user can spend any energy (zero gains or shares)")
-
-    def average_total(lam):
-        s = _waterfill_energies(groups, gains, shares, link, lam, m_zero)
-        return s.sum(axis=1).mean()
-
-    hi = peak
-    lo = peak
-    for _ in range(200):
-        if average_total(lo) >= total_budget:
-            break
-        lo /= 2.0
-    else:
-        raise DegenerateBudgetError("budget unreachable while lowering the water level")
-
-    for _ in range(ENERGY_BISECT):
-        lam = 0.5 * (lo + hi)
-        if average_total(lam) > total_budget:
-            lo = lam
-        else:
-            hi = lam
-
-    lam = 0.5 * (lo + hi)
-    energies = _waterfill_energies(groups, gains, shares, link, lam, m_zero)
-    energies *= total_budget / energies.sum(axis=1).mean()
-    return energies, lam
+    energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
+    # absorb the last bisection gap so the budgets are met exactly
+    return energies * (budgets / spent(energies)), lam
 
 
 def sample_objective(gains, shares, energies, utilities, link: LinkBudget) -> float:
     """Sample-average aggregate utility of a (shares, energies) policy."""
     gains = np.asarray(gains, dtype=float)
-    groups = _user_groups(_as_utility_list(utilities, gains.shape[1]))
-    values = _group_values(groups, np.asarray(shares, float), np.asarray(energies, float), gains, link)
+    u = as_utility(utilities, gains.shape[1])
+    values = u.value_with_energy(np.asarray(shares, float), np.asarray(energies, float), gains, link)
     return float(values.sum(axis=1).mean())
 
 
@@ -365,7 +293,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     if gains.ndim != 2 or gains.shape[0] < 1:
         raise ValueError("need a nonempty (n_samples, n_users) gain matrix")
     n, nu = gains.shape
-    utils = _as_utility_list(utilities, nu)
+    u = as_utility(utilities, nu)
 
     if pooled:
         total_budget = float(budgets)
@@ -379,15 +307,15 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     trace = IterationTrace(threshold=threshold)
 
     for _ in range(max_iterations):
-        shares = update_shares(gains, energies, utils, link)
-        trace.objectives.append(sample_objective(gains, shares, energies, utils, link))
+        shares = update_shares(gains, energies, u, link)
+        trace.objectives.append(sample_objective(gains, shares, energies, u, link))
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
             trace.converged = True
             break
         if pooled:
-            energies, multipliers = update_energies_pooled(gains, shares, utils, total_budget, link)
+            energies, multipliers = update_energies_pooled(gains, shares, u, total_budget, link)
         else:
-            energies, multipliers = update_energies(gains, shares, utils, per_user, link)
+            energies, multipliers = update_energies(gains, shares, u, per_user, link)
     else:
         raise ConvergenceError(
             f"objective still improving after {max_iterations} iterations", diagnostics=trace
@@ -451,15 +379,14 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
     if single:
         g = g[None, :]
     n, nu = g.shape
-    utils = _as_utility_list(utilities, nu)
-    groups = _user_groups(utils)
-    lam = policy.multipliers if policy.pooled else policy.multipliers[None, :]
+    u = as_utility(utilities, nu)
+    lam = policy.multipliers[None, :]
 
     shares = np.full((n, nu), 1.0 / nu)
-    energies = _waterfill_energies(groups, g, shares, link, lam)
+    energies = _waterfill_energies(u, g, shares, link, lam)
     for _ in range(max_rounds):
-        new_shares = update_shares(g, energies, utils, link)
-        new_energies = _waterfill_energies(groups, g, new_shares, link, lam)
+        new_shares = update_shares(g, energies, u, link)
+        new_energies = _waterfill_energies(u, g, new_shares, link, lam)
         drift = np.abs(new_shares - shares).max() + np.abs(new_energies - energies).max()
         shares, energies = new_shares, new_energies
         if drift <= tol:
@@ -479,11 +406,11 @@ def constant_power_objective(gains, utilities, budgets, link: LinkBudget) -> flo
     """
     gains = np.asarray(gains, dtype=float)
     n, nu = gains.shape
-    utils = _as_utility_list(utilities, nu)
+    u = as_utility(utilities, nu)
     budgets = np.broadcast_to(np.asarray(budgets, dtype=float), (nu,))
     total = 0.0
     for i in range(n):
         rates = achievable_rate(gains[i], budgets, link)
-        shares, _ = allocate_ts(rates, utils)
-        total += aggregate_utility(shares, rates, utils)
+        shares, _ = allocate_ts(rates, u)
+        total += aggregate_utility(shares, rates, u)
     return total / n

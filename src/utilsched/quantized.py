@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .channel import LinkBudget, Quantizer, achievable_rate
-from .timeshare import _as_utility_list
+from .utility import as_utility
 
 __all__ = ["bin_expected_utility", "QuantizedScheduler", "slot_compositions"]
 
@@ -99,7 +99,7 @@ class QuantizedScheduler:
     def __post_init__(self):
         self.mean_gains = np.atleast_1d(np.asarray(self.mean_gains, dtype=float))
         n = self.mean_gains.size
-        self.utilities = _as_utility_list(self.utilities, n)
+        self.utilities = as_utility(self.utilities, n)
         if isinstance(self.quantizers, Quantizer):
             self.quantizers = [self.quantizers] * n
         else:
@@ -122,7 +122,7 @@ class QuantizedScheduler:
             values = np.array(
                 [
                     bin_expected_utility(
-                        self.utilities[user],
+                        self.utilities.for_user(user),
                         v / self.n_slots,
                         state,
                         self.quantizers[user],

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
+from .errors import NUMERIC_ERRORS
 from .gradsched import GradientSchedulerState, select_user, update_state
 from .powercontrol import apply_policy, solve_uplink
 from .quantized import QuantizedScheduler
-from .timeshare import _as_utility_list, allocate_ts
+from .timeshare import allocate_ts
 from .utility import LogUtility
 
 __all__ = ["ExperimentConfig", "SimStats", "SweepEntry", "run_experiment", "sweep"]
@@ -65,6 +66,12 @@ class ExperimentConfig:
             raise ValueError("n_frames must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        if not 0.0 < self.smoothing < 1.0:
+            raise ValueError(f"smoothing must lie in (0, 1), got {self.smoothing}")
+        self.link()  # rejects a negative snr_gap_db
+        # the quantizer tables hold 2**feedback_bits states per user
+        if not 0 <= self.feedback_bits <= 16:
+            raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
 
     def link(self) -> LinkBudget:
         return LinkBudget(noise_power=1.0, snr_gap_db=self.snr_gap_db, transmit_power=1.0)
@@ -73,9 +80,8 @@ class ExperimentConfig:
         snr = np.broadcast_to(np.asarray(self.mean_snr_db, dtype=float), (self.n_users,))
         return ChannelModel.from_snr_db(snr, self.link())
 
-    def utilities(self):
-        a = np.broadcast_to(np.asarray(self.concavity, dtype=float), (self.n_users,))
-        return [LogUtility(float(ai)) for ai in a]
+    def utilities(self) -> LogUtility:
+        return LogUtility(np.broadcast_to(np.asarray(self.concavity, dtype=float), (self.n_users,)))
 
 
 @dataclass
@@ -91,7 +97,7 @@ class SimStats:
     degenerate_frames: int = 0
 
 
-def _policy_shares(config: ExperimentConfig, model, link, utils):
+def _policy_shares(config: ExperimentConfig, model, link, utility):
     """Return a frame iterator yielding (gains, shares, rates) triples."""
     n = config.n_users
 
@@ -100,7 +106,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utils):
         for t in range(config.n_frames):
             gains = sample_gains(model, config.seed, t)
             rates = achievable_rate(gains, link.transmit_power, link)
-            chosen = select_user(state, rates, utils)
+            chosen = select_user(state, rates, utility)
             shares = np.zeros(n)
             shares[chosen] = 1.0
             state = update_state(state, chosen, rates[chosen])
@@ -116,13 +122,13 @@ def _policy_shares(config: ExperimentConfig, model, link, utils):
             ]
         )
         policy, _ = solve_uplink(
-            training, utils, budgets, link,
+            training, utility, budgets, link,
             threshold=config.delta, max_iterations=config.max_iterations,
         )
         all_gains = np.stack(
             [sample_gains(model, config.seed, t) for t in range(config.n_frames)]
         )
-        all_shares, all_energies = apply_policy(policy, all_gains, utils, link)
+        all_shares, all_energies = apply_policy(policy, all_gains, utility, link)
         with np.errstate(divide="ignore", invalid="ignore"):
             powers = np.where(
                 all_shares > 0, all_energies / np.where(all_shares > 0, all_shares, 1.0), 0.0
@@ -137,7 +143,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utils):
         quantizers = [
             Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains
         ]
-        scheduler = QuantizedScheduler(utils, quantizers, model.mean_gains, link, n_slots)
+        scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, n_slots)
         for t in range(config.n_frames):
             gains = sample_gains(model, config.seed, t)
             states = np.array([quantize(g, q) for g, q in zip(gains, quantizers)])
@@ -155,7 +161,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utils):
     for t in range(config.n_frames):
         gains = sample_gains(model, config.seed, t)
         rates = achievable_rate(gains, link.transmit_power, link)
-        shares, _ = allocate_ts(rates, utils, weights=weights)
+        shares, _ = allocate_ts(rates, utility, weights=weights)
         yield gains, shares, rates
 
 
@@ -163,7 +169,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     """Run one experiment; fully deterministic given the config's seed."""
     link = config.link()
     model = config.channel()
-    utils = config.utilities()
+    utility = config.utilities()
     n = config.n_users
 
     rate_sum = np.zeros(n)
@@ -172,7 +178,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     util_sum = np.zeros(n)
     degenerate = 0
 
-    for t, (gains, shares, rates) in enumerate(_policy_shares(config, model, link, utils)):
+    for t, (gains, shares, rates) in enumerate(_policy_shares(config, model, link, utility)):
         total = shares.sum()
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"frame {t}: shares sum to {total}, not 1")
@@ -182,7 +188,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
         rate_sum += r
         rate_sq_sum += r * r
         share_sum += shares
-        util_sum += np.array([u.value(ri) for u, ri in zip(utils, r)])
+        util_sum += utility.value(r)
 
     frames = config.n_frames
     mean_rate = rate_sum / frames
@@ -218,6 +224,6 @@ def sweep(configs) -> list:
     for config in configs:
         try:
             entries.append(SweepEntry(config, stats=run_experiment(config)))
-        except Exception as exc:  # collected per entry, reported by the caller
+        except NUMERIC_ERRORS as exc:  # collected per entry, reported by the caller
             entries.append(SweepEntry(config, error=exc))
     return entries

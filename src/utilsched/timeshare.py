@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .utility import LogUtility, Utility
+from .utility import LogUtility, as_utility
 
 __all__ = ["MultiplierSolve", "allocate_ts", "aggregate_utility"]
 
@@ -40,15 +40,6 @@ class MultiplierSolve:
     degenerate: bool = False
 
 
-def _as_utility_list(utilities, n: int):
-    if isinstance(utilities, Utility):
-        return [utilities] * n
-    utilities = list(utilities)
-    if len(utilities) != n:
-        raise ValueError(f"expected {n} utilities, got {len(utilities)}")
-    return utilities
-
-
 def allocate_ts(peak_rates, utilities, weights=None):
     """Maximize sum_i w_i U_i(share_i * peak_rate_i) over the unit simplex.
 
@@ -57,7 +48,8 @@ def allocate_ts(peak_rates, utilities, weights=None):
     peak_rates : array_like, shape (N,)
         Full-frame rate of each user this frame, >= 0.
     utilities : Utility or sequence of Utility
-        Per-user utilities (a single instance is shared by all users).
+        One utility for all users (shared, or array-valued such as a
+        ``LogUtility`` with one concavity per user), or one per user.
     weights : array_like, optional
         Nonnegative objective weights; uniform weighting when omitted.
         Scaling all weights by a common factor does not change the shares.
@@ -75,7 +67,7 @@ def allocate_ts(peak_rates, utilities, weights=None):
         raise ValueError("need at least one user")
     if np.any(c < 0):
         raise ValueError("peak rates must be >= 0")
-    utils = _as_utility_list(utilities, n)
+    u = as_utility(utilities, n)
     if weights is None:
         w = np.ones(n)
     else:
@@ -83,23 +75,17 @@ def allocate_ts(peak_rates, utilities, weights=None):
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("weights must be a nonnegative length-N vector")
 
-    zero_marginals = np.array(
-        [wi * u.marginal_share(ci, 0.0) for wi, u, ci in zip(w, utils, c)]
-    )
+    zero_marginals = w * u.marginal_share(c, 0.0)
     if np.all(zero_marginals == 0.0):
         # every weighted rate is zero: any share vector is optimal
         return np.full(n, 1.0 / n), MultiplierSolve(0.0, np.arange(n), 0, degenerate=True)
 
-    if all(isinstance(u, LogUtility) for u in utils):
-        shares, lam = _logfamily_closed_form(c, utils, w, zero_marginals)
-        iterations = 0
-    else:
-        shares, lam, iterations = _bisect_multiplier(c, utils, w, zero_marginals)
-
+    solve = _logfamily_closed_form if isinstance(u, LogUtility) else _bisect_multiplier
+    shares, lam, iterations = solve(c, u, w, zero_marginals)
     return shares, MultiplierSolve(lam, np.flatnonzero(shares > 0), iterations)
 
 
-def _logfamily_closed_form(c, utils, w, zero_marginals):
+def _logfamily_closed_form(c, u, w, zero_marginals):
     """Active-set water filling for U_i = ln(1 + r/A_i).
 
     On the active set S the stationarity w_i c_i / (A_i + rho_i c_i) = lam
@@ -109,9 +95,8 @@ def _logfamily_closed_form(c, utils, w, zero_marginals):
     next user's zero marginal.
     """
     n = c.size
-    a_over_c = np.array(
-        [u.concavity / ci if ci > 0 else np.inf for u, ci in zip(utils, c)]
-    )
+    with np.errstate(divide="ignore"):
+        a_over_c = u.concavity / c  # inf for a zero-rate user
     order = np.argsort(-zero_marginals, kind="stable")
     candidates = order[zero_marginals[order] > 0]
     w_cum = np.cumsum(w[candidates])
@@ -128,30 +113,22 @@ def _logfamily_closed_form(c, utils, w, zero_marginals):
             break
     shares = np.maximum(shares, 0.0)
     shares /= shares.sum()
-    return shares, lam
+    return shares, lam, 0
 
 
-def _bisect_multiplier(c, utils, w, zero_marginals):
+def _bisect_multiplier(c, u, w, zero_marginals):
     """Monotone bisection on the multiplier for generic concave utilities."""
+    live = (w > 0) & (c > 0)
+    w_live = np.where(live, w, 1.0)
 
-    def total_share(lam):
-        return sum(
-            u.inverse_marginal_share(ci, lam / wi) if wi > 0 and ci > 0 else 0.0
-            for u, ci, wi in zip(utils, c, w)
-        )
+    def shares_at(lam):
+        return np.where(live, u.inverse_marginal_share(c, lam / w_live), 0.0)
 
     hi = float(np.max(zero_marginals))
-    active = zero_marginals > 0
-    lo = float(
-        min(
-            wi * u.marginal_share(ci, 1.0)
-            for u, ci, wi, act in zip(utils, c, w, active)
-            if act
-        )
-    )
+    lo = float(np.min((w * u.marginal_share(c, 1.0))[zero_marginals > 0]))
     for it in range(1, MAX_BISECT + 1):
         lam = 0.5 * (lo + hi)
-        total = total_share(lam)
+        total = shares_at(lam).sum()
         if abs(total - 1.0) <= SIMPLEX_TOL:
             break
         if total > 1.0:
@@ -161,14 +138,9 @@ def _bisect_multiplier(c, utils, w, zero_marginals):
     else:
         raise ConvergenceError(
             f"multiplier bisection did not meet simplex tolerance in {MAX_BISECT} steps",
-            diagnostics={"lo": lo, "hi": hi, "residual": total_share(0.5 * (lo + hi)) - 1.0},
+            diagnostics={"lo": lo, "hi": hi, "residual": shares_at(0.5 * (lo + hi)).sum() - 1.0},
         )
-    shares = np.array(
-        [
-            u.inverse_marginal_share(ci, lam / wi) if wi > 0 and ci > 0 else 0.0
-            for u, ci, wi in zip(utils, c, w)
-        ]
-    )
+    shares = shares_at(lam)
     shares /= shares.sum()
     return shares, lam, it
 
@@ -177,8 +149,7 @@ def aggregate_utility(shares, peak_rates, utilities, weights=None) -> float:
     """Frame objective sum_i w_i U_i(share_i * peak_rate_i)."""
     shares = np.asarray(shares, dtype=float)
     c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
-    utils = _as_utility_list(utilities, c.size)
+    u = as_utility(utilities, c.size)
     w = np.ones(c.size) if weights is None else np.asarray(weights, dtype=float)
-    return float(
-        sum(wi * u.value(si * ci) for wi, u, si, ci in zip(w, utils, shares, c))
-    )
+    # Python's sum adds the users in order (np.sum pairs them from N=8 on)
+    return float(sum(w * u.value(shares * c)))

@@ -7,6 +7,11 @@ derivative U'(r) and its inverse.  The shipped implementation is the
 logarithmic family U(r) = ln(1 + r/A), where smaller A means stronger
 concavity (earlier saturation).
 
+One ``Utility`` instance describes all N users of an allocation: every
+method broadcasts over a trailing user axis.  A ``LogUtility`` whose
+concavity is a length-N array gives each user its own A; ``as_utility``
+turns the per-user sequences that callers may pass into that one object.
+
 Two parameterizations appear throughout:
 
 * share form: the user holds a fraction ``share`` of the frame at fixed
@@ -23,7 +28,7 @@ import numpy as np
 
 from .channel import LN2, LinkBudget
 
-__all__ = ["Utility", "LogUtility"]
+__all__ = ["Utility", "LogUtility", "as_utility"]
 
 
 class Utility(ABC):
@@ -40,6 +45,10 @@ class Utility(ABC):
     @abstractmethod
     def inverse_derivative(self, slope):
         """The rate r with U'(r) == slope, for 0 < slope <= U'(0)."""
+
+    def for_user(self, j: int) -> "Utility":
+        """User j's own utility; a utility shared by all users returns itself."""
+        return self
 
     # -- share form -------------------------------------------------------
 
@@ -116,13 +125,23 @@ def _rate_from_energy(share, energy, gain, link: LinkBudget):
 
 @dataclass(frozen=True)
 class LogUtility(Utility):
-    """U(r) = ln(1 + r/concavity); small concavity saturates early."""
+    """U(r) = ln(1 + r/concavity); small concavity saturates early.
 
-    concavity: float = 0.1
+    ``concavity`` is a scalar shared by every user, or a length-N array of
+    per-user values that broadcasts over the trailing user axis.
+    """
+
+    concavity: object = 0.1
 
     def __post_init__(self):
-        if self.concavity <= 0:
-            raise ValueError(f"concavity must be > 0, got {self.concavity}")
+        a = np.array(self.concavity, dtype=float)
+        if a.ndim > 1 or np.any(~(a > 0)):
+            raise ValueError(f"concavity must be > 0 (scalar or 1-D), got {self.concavity}")
+        a.flags.writeable = False
+        object.__setattr__(self, "concavity", float(a) if a.ndim == 0 else a)
+
+    def for_user(self, j: int) -> "LogUtility":
+        return self if np.ndim(self.concavity) == 0 else LogUtility(self.concavity[j])
 
     def value(self, rate):
         if np.any(np.asarray(rate) < 0):
@@ -146,3 +165,52 @@ class LogUtility(Utility):
             )
         out = np.maximum(raw, 0.0)
         return out if out.ndim else float(out)
+
+
+class _PerUserColumns(Utility):
+    """Per-user utilities of any type, user j acting on column j of the last axis."""
+
+    def __init__(self, utilities):
+        self.utilities = tuple(utilities)
+
+    def _columns(self, method, *args):
+        args = np.broadcast_arrays(*args, np.empty(len(self.utilities)))[:-1]
+        return np.stack(
+            [getattr(u, method)(*(a[..., j] for a in args)) for j, u in enumerate(self.utilities)],
+            axis=-1,
+        )
+
+    def value(self, rate):
+        return self._columns("value", rate)
+
+    def derivative(self, rate):
+        return self._columns("derivative", rate)
+
+    def inverse_derivative(self, slope):
+        return self._columns("inverse_derivative", slope)
+
+    def inverse_marginal_share(self, peak_rate, multiplier):
+        return self._columns("inverse_marginal_share", peak_rate, multiplier)
+
+    def for_user(self, j: int) -> Utility:
+        return self.utilities[j]
+
+
+def as_utility(utilities, n: int) -> Utility:
+    """One ``Utility`` describing all ``n`` users.
+
+    A single ``Utility`` passes through unchanged; a sequence of ``n``
+    scalar ``LogUtility`` objects stacks into one array-valued
+    ``LogUtility``; any other sequence of ``n`` utilities is applied
+    column by column.
+    """
+    if isinstance(utilities, Utility):
+        if isinstance(utilities, LogUtility) and np.shape(utilities.concavity) not in ((), (n,)):
+            raise ValueError(f"expected {n} concavities, got {np.size(utilities.concavity)}")
+        return utilities
+    utilities = list(utilities)
+    if len(utilities) != n:
+        raise ValueError(f"expected {n} utilities, got {len(utilities)}")
+    if all(type(u) is LogUtility and np.ndim(u.concavity) == 0 for u in utilities):
+        return LogUtility(np.array([u.concavity for u in utilities]))
+    return _PerUserColumns(utilities)

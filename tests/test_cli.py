@@ -202,3 +202,17 @@ class TestReplayValidation:
         path.write_text(json.dumps(data))
         assert main(["replay", str(path), "--output", str(tmp_path / "again")]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+
+class TestInvalidConfigRejectedUpFront:
+    @pytest.mark.parametrize("argv", [
+        ["gs-sweep", "--alpha", "2"],
+        ["fairness", "--snr-gap-db", "-1"],
+        ["fairness", "--users", "3", "--concavity", "0.1,1"],
+        ["ts-sweep", "--snr-gap-db", "-1"],
+        ["qtsl", "--feedback-bits", "40"],
+    ])
+    def test_exit_2_and_no_csv(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert main(argv + ["--frames", "20", "--output", str(out)]) == 2
+        assert not out.exists() or not list(out.glob("*.csv"))

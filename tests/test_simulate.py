@@ -133,3 +133,14 @@ class TestSweep:
         ]
         entries = sweep(configs)
         assert [e.config.concavity for e in entries] == [0.1, 1.0, 10.0]
+
+
+def test_programming_error_escapes_sweep(monkeypatch):
+    import utilsched.simulate as simulate_module
+
+    def broken(config):
+        raise TypeError("not a numeric failure")
+
+    monkeypatch.setattr(simulate_module, "run_experiment", broken)
+    with pytest.raises(TypeError):
+        sweep([ExperimentConfig(n_users=2, policy="ts", n_frames=10)])
