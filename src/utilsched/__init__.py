@@ -18,7 +18,7 @@ from .channel import (
     quantize,
     sample_gains,
 )
-from .errors import ConvergenceError, DegenerateBudgetError
+from .errors import ConvergenceError, DegenerateBudgetError, InvariantError
 from .fairness import FairnessReport, adapt_weights, average_utilities, weighted_allocate
 from .gradsched import GradientSchedulerState, select_user, update_state
 from .powercontrol import (
@@ -48,6 +48,7 @@ __all__ = [
     "sample_gains",
     "ConvergenceError",
     "DegenerateBudgetError",
+    "InvariantError",
     "FairnessReport",
     "adapt_weights",
     "average_utilities",

@@ -17,5 +17,11 @@ class DegenerateBudgetError(ValueError):
     """A power budget cannot be met (e.g. every sampled gain is zero)."""
 
 
-# what a numerically failing run raises: caught per sweep point, exit code 3
+class InvariantError(RuntimeError):
+    """A result broke a property its algorithm guarantees, such as shares
+    summing to 1: a defect in the program, not a numeric failure of the run."""
+
+
+# what a numerically failing run raises: caught per sweep point, exit code 3;
+# an InvariantError is left out so that it escapes
 NUMERIC_ERRORS = (ConvergenceError, DegenerateBudgetError, ValueError, FloatingPointError)

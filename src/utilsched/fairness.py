@@ -39,7 +39,8 @@ def weighted_allocate(peak_rates, utilities, weights):
 
     Identical machinery to the unweighted allocator with every user's
     marginal scaled by its weight; a zero-weight user never receives share
-    while any positively weighted user has a positive rate.
+    while any positively weighted user has a positive rate.  ``peak_rates``
+    is one frame (N,) or a batch (T, N), as for ``allocate_ts``.
     """
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-9:
@@ -56,11 +57,9 @@ def average_utilities(peak_rate_samples, utilities, weights) -> np.ndarray:
     samples = np.asarray(peak_rate_samples, dtype=float)
     n, nu = samples.shape
     u = as_utility(utilities, nu)
-    totals = np.zeros(nu)
-    for i in range(n):
-        shares, _ = weighted_allocate(samples[i], u, weights)
-        totals += u.value(shares * samples[i])
-    return totals / n
+    shares, _ = weighted_allocate(samples, u, weights)
+    # add the samples in order, as a per-sample loop would
+    return np.cumsum(u.value(shares * samples), axis=0)[-1] / n
 
 
 def adapt_weights(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
-from .timeshare import allocate_ts, aggregate_utility
+from .timeshare import allocate_ts
 from .utility import as_utility
 
 __all__ = [
@@ -408,9 +408,8 @@ def constant_power_objective(gains, utilities, budgets, link: LinkBudget) -> flo
     n, nu = gains.shape
     u = as_utility(utilities, nu)
     budgets = np.broadcast_to(np.asarray(budgets, dtype=float), (nu,))
-    total = 0.0
-    for i in range(n):
-        rates = achievable_rate(gains[i], budgets, link)
-        shares, _ = allocate_ts(rates, u)
-        total += aggregate_utility(shares, rates, u)
-    return total / n
+    rates = achievable_rate(gains, budgets, link)
+    shares, _ = allocate_ts(rates, u)
+    # sum users, then samples, each in order, as aggregate_utility per sample would
+    per_sample = np.cumsum(u.value(shares * rates), axis=1)[:, -1]
+    return float(np.cumsum(per_sample)[-1]) / n

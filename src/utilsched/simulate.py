@@ -7,6 +7,12 @@ power-control policy, energies), and accumulates per-user rates r_i =
 share_i * rate_i.  Reported statistics are the time-averaged aggregate
 utility (`taur`), per-user mean rate and rate standard deviation, and mean
 occupancy.
+
+Frames run in blocks of ``BLOCK_FRAMES``: gains are drawn frame by frame,
+then a block is allocated (one batched call for time sharing; gradient and
+quantized scheduling still decide frame by frame) and reduced with array
+operations that add its frames onto the running sums in frame order, so the
+statistics match a frame-by-frame loop bit for bit.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
-from .errors import NUMERIC_ERRORS
+from .errors import NUMERIC_ERRORS, InvariantError
 from .gradsched import GradientSchedulerState, select_user, update_state
 from .powercontrol import apply_policy, solve_uplink
 from .quantized import QuantizedScheduler
@@ -27,6 +33,11 @@ POLICIES = ("ts", "gs", "jtpc", "qtsl", "weighted_ts")
 
 # frame indices at and above this offset are reserved for training draws
 TRAINING_FRAME_OFFSET = 2**32
+# frames allocated and reduced per array pass; keeps frame arrays small
+BLOCK_FRAMES = 1024
+# memory-sizing knobs: slots per frame, and jtpc training gains held at once
+MAX_SLOTS = 1024
+MAX_TRAINING_ENTRIES = 10**6
 
 
 @dataclass
@@ -72,6 +83,15 @@ class ExperimentConfig:
         # the quantizer tables hold 2**feedback_bits states per user
         if not 0 <= self.feedback_bits <= 16:
             raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
+        if not 0 <= self.n_slots <= MAX_SLOTS:
+            raise ValueError(f"n_slots must lie in 0..{MAX_SLOTS}, got {self.n_slots}")
+        if self.policy == "jtpc" and not (
+            1 <= self.training_samples and self.training_samples * self.n_users <= MAX_TRAINING_ENTRIES
+        ):
+            raise ValueError(
+                f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
+                f"{MAX_TRAINING_ENTRIES}, got {self.training_samples} * {self.n_users}"
+            )
 
     def link(self) -> LinkBudget:
         return LinkBudget(noise_power=1.0, snr_gap_db=self.snr_gap_db, transmit_power=1.0)
@@ -97,45 +117,50 @@ class SimStats:
     degenerate_frames: int = 0
 
 
+def _frame_blocks(n_frames: int):
+    """Consecutive frame-index ranges of at most BLOCK_FRAMES frames."""
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        yield range(start, min(start + BLOCK_FRAMES, n_frames))
+
+
+def _block_gains(model, seed: int, frames: range) -> np.ndarray:
+    return np.stack([sample_gains(model, seed, t) for t in frames])
+
+
 def _policy_shares(config: ExperimentConfig, model, link, utility):
-    """Return a frame iterator yielding (gains, shares, rates) triples."""
+    """Yield (shares, rates) blocks, one (frames, users) row per frame, in frame order."""
     n = config.n_users
 
     if config.policy == "gs":
         state = GradientSchedulerState.initial(n, config.smoothing, config.initial_avg_rate)
-        for t in range(config.n_frames):
-            gains = sample_gains(model, config.seed, t)
-            rates = achievable_rate(gains, link.transmit_power, link)
-            chosen = select_user(state, rates, utility)
-            shares = np.zeros(n)
-            shares[chosen] = 1.0
-            state = update_state(state, chosen, rates[chosen])
-            yield gains, shares, rates
+        for frames in _frame_blocks(config.n_frames):
+            rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
+            shares = np.zeros_like(rates)
+            for i, frame_rates in enumerate(rates):
+                chosen = select_user(state, frame_rates, utility)
+                shares[i, chosen] = 1.0
+                state = update_state(state, chosen, frame_rates[chosen])
+            yield shares, rates
         return
 
     if config.policy == "jtpc":
         budgets = np.broadcast_to(np.asarray(config.power_budget, dtype=float), (n,))
-        training = np.stack(
-            [
-                sample_gains(model, config.seed, TRAINING_FRAME_OFFSET + t)
-                for t in range(config.training_samples)
-            ]
+        training = _block_gains(
+            model, config.seed, range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
         )
         policy, _ = solve_uplink(
             training, utility, budgets, link,
             threshold=config.delta, max_iterations=config.max_iterations,
         )
-        all_gains = np.stack(
-            [sample_gains(model, config.seed, t) for t in range(config.n_frames)]
-        )
+        all_gains = _block_gains(model, config.seed, range(config.n_frames))
         all_shares, all_energies = apply_policy(policy, all_gains, utility, link)
         with np.errstate(divide="ignore", invalid="ignore"):
             powers = np.where(
                 all_shares > 0, all_energies / np.where(all_shares > 0, all_shares, 1.0), 0.0
             )
         all_rates = achievable_rate(all_gains, powers, link)
-        for t in range(config.n_frames):
-            yield all_gains[t], all_shares[t], all_rates[t]
+        for frames in _frame_blocks(config.n_frames):
+            yield all_shares[frames.start : frames.stop], all_rates[frames.start : frames.stop]
         return
 
     if config.policy == "qtsl":
@@ -144,12 +169,11 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains
         ]
         scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, n_slots)
-        for t in range(config.n_frames):
-            gains = sample_gains(model, config.seed, t)
-            states = np.array([quantize(g, q) for g, q in zip(gains, quantizers)])
-            shares = scheduler.shares(scheduler.greedy_allocate(states))
-            rates = achievable_rate(gains, link.transmit_power, link)
-            yield gains, shares, rates
+        for frames in _frame_blocks(config.n_frames):
+            gains = _block_gains(model, config.seed, frames)
+            states = np.stack([quantize(gains[:, j], q) for j, q in enumerate(quantizers)], axis=1)
+            shares = np.stack([scheduler.shares(scheduler.greedy_allocate(s)) for s in states])
+            yield shares, achievable_rate(gains, link.transmit_power, link)
         return
 
     weights = None
@@ -158,38 +182,45 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             raise ValueError("weighted_ts needs a weights vector")
         weights = np.asarray(config.weights, dtype=float)
 
-    for t in range(config.n_frames):
-        gains = sample_gains(model, config.seed, t)
-        rates = achievable_rate(gains, link.transmit_power, link)
+    for frames in _frame_blocks(config.n_frames):
+        rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
         shares, _ = allocate_ts(rates, utility, weights=weights)
-        yield gains, shares, rates
+        yield shares, rates
 
 
 def run_experiment(config: ExperimentConfig) -> SimStats:
-    """Run one experiment; fully deterministic given the config's seed."""
+    """Run one experiment; fully deterministic given the config's seed.
+
+    Raises
+    ------
+    InvariantError
+        If a policy returns a frame whose shares do not sum to 1.
+    """
     link = config.link()
     model = config.channel()
     utility = config.utilities()
     n = config.n_users
 
-    rate_sum = np.zeros(n)
-    rate_sq_sum = np.zeros(n)
-    share_sum = np.zeros(n)
-    util_sum = np.zeros(n)
+    # running sums of rate, squared rate, share and utility, one row each
+    totals = np.zeros((1, 4, n))
     degenerate = 0
-
-    for t, (gains, shares, rates) in enumerate(_policy_shares(config, model, link, utility)):
-        total = shares.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise AssertionError(f"frame {t}: shares sum to {total}, not 1")
-        if not np.any(rates > 0):
-            degenerate += 1
+    start = 0
+    for shares, rates in _policy_shares(config, model, link, utility):
+        share_sums = shares.sum(axis=1)
+        bad = np.flatnonzero(~(np.abs(share_sums - 1.0) <= 1e-9))  # NaN counts as bad
+        if bad.size:
+            raise InvariantError(
+                f"frame {start + bad[0]}: shares sum to {share_sums[bad[0]]}, not 1"
+            )
+        degenerate += int(np.count_nonzero(~np.any(rates > 0, axis=1)))
         r = shares * rates
-        rate_sum += r
-        rate_sq_sum += r * r
-        share_sum += shares
-        util_sum += utility.value(r)
+        block = np.stack([r, r * r, shares, utility.value(r)], axis=1)
+        # add the frames one after another onto the totals, as a per-frame
+        # loop would: a plain sum over the frame axis may pair them up
+        totals = np.cumsum(np.concatenate([totals, block]), axis=0)[-1:]
+        start += len(shares)
 
+    rate_sum, rate_sq_sum, share_sum, util_sum = totals[0]
     frames = config.n_frames
     mean_rate = rate_sum / frames
     variance = np.maximum(rate_sq_sum / frames - mean_rate**2, 0.0)

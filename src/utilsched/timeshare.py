@@ -6,6 +6,10 @@ summing to 1.  The solution has water-filling structure: all users with a
 positive share sit at a common marginal utility (the multiplier), and users
 whose marginal at zero share falls below it are shut off.
 
+Each frame's problem stands alone, so a batch of frames (one row per frame)
+is solved in one array pass, row by row in lockstep; a row's answer is the
+same, bit for bit, as solving that frame on its own.
+
 Two solve paths produce the same answer: an active-set closed form when all
 utilities are logarithmic, and monotone bisection on the multiplier for any
 strictly concave utility.
@@ -28,44 +32,55 @@ MAX_BISECT = 200
 class MultiplierSolve:
     """Certificate of a simplex water-filling solve.
 
-    ``multiplier`` is the common marginal on the active set; ``degenerate``
-    flags frames where every user's marginal was zero (all rates or weights
-    zero), in which case uniform shares are returned and the multiplier is
-    meaningless.
+    ``multiplier`` is the common marginal on each frame's active set and
+    ``iterations`` the bisection steps each frame took (0 for the closed
+    form); both have one entry per frame, and are scalars for a single
+    frame.  ``active_set`` is ``np.flatnonzero(shares > 0)``: user indices
+    for one frame, flat indices into the (frames, users) share array for a
+    batch.  ``degenerate`` counts the frames where every user's marginal was
+    zero (all rates or weights zero); such a frame gets uniform shares and a
+    meaningless multiplier of 0.
     """
 
-    multiplier: float
+    multiplier: object
     active_set: np.ndarray
-    iterations: int
-    degenerate: bool = False
+    iterations: object
+    degenerate: int = 0
 
 
 def allocate_ts(peak_rates, utilities, weights=None):
-    """Maximize sum_i w_i U_i(share_i * peak_rate_i) over the unit simplex.
+    """Maximize sum_i w_i U_i(share_i * peak_rate_i) over the unit simplex,
+    frame by frame.
 
     Parameters
     ----------
-    peak_rates : array_like, shape (N,)
-        Full-frame rate of each user this frame, >= 0.
+    peak_rates : array_like, shape (N,) or (T, N)
+        Full-frame rate of each user, >= 0: one frame, or one row per frame.
     utilities : Utility or sequence of Utility
         One utility for all users (shared, or array-valued such as a
         ``LogUtility`` with one concavity per user), or one per user.
     weights : array_like, optional
-        Nonnegative objective weights; uniform weighting when omitted.
-        Scaling all weights by a common factor does not change the shares.
+        Nonnegative objective weights, shape (N,), the same in every frame;
+        uniform weighting when omitted.  Scaling all weights by a common
+        factor does not change the shares.
 
     Returns
     -------
     (shares, solve) : (ndarray, MultiplierSolve)
-        ``shares`` sums to 1; active users share a common weighted marginal
-        equal to ``solve.multiplier`` and inactive users' marginals at zero
-        share do not exceed it.
+        ``shares`` has the shape of ``peak_rates`` and each row sums to 1;
+        a row's active users share a common weighted marginal equal to its
+        ``solve.multiplier`` and its inactive users' marginals at zero share
+        do not exceed it.  Each row equals the 1-D call on that row.
     """
-    c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
-    n = c.size
+    c = np.asarray(peak_rates, dtype=float)
+    if c.ndim > 2:
+        raise ValueError("peak rates must have shape (N,) or (T, N)")
+    single = c.ndim < 2
+    rows = np.atleast_2d(c)
+    n = rows.shape[1]
     if n < 1:
         raise ValueError("need at least one user")
-    if np.any(c < 0):
+    if np.any(rows < 0):
         raise ValueError("peak rates must be >= 0")
     u = as_utility(utilities, n)
     if weights is None:
@@ -75,74 +90,115 @@ def allocate_ts(peak_rates, utilities, weights=None):
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("weights must be a nonnegative length-N vector")
 
-    zero_marginals = w * u.marginal_share(c, 0.0)
-    if np.all(zero_marginals == 0.0):
-        # every weighted rate is zero: any share vector is optimal
-        return np.full(n, 1.0 / n), MultiplierSolve(0.0, np.arange(n), 0, degenerate=True)
-
+    zero_marginals = w * u.marginal_share(rows, 0.0)
+    # every weighted rate is zero: any share vector is optimal
+    degenerate = np.all(zero_marginals == 0.0, axis=1)
     solve = _logfamily_closed_form if isinstance(u, LogUtility) else _bisect_multiplier
-    shares, lam, iterations = solve(c, u, w, zero_marginals)
-    return shares, MultiplierSolve(lam, np.flatnonzero(shares > 0), iterations)
+    shares, lam, iterations = solve(rows, u, w, zero_marginals, degenerate)
+    shares[degenerate] = 1.0 / n
+    lam[degenerate] = 0.0
+
+    if single:
+        shares, lam, iterations = shares[0], lam[0], int(iterations[0])
+    return shares, MultiplierSolve(
+        lam, np.flatnonzero(shares > 0), iterations, int(np.count_nonzero(degenerate))
+    )
 
 
-def _logfamily_closed_form(c, u, w, zero_marginals):
-    """Active-set water filling for U_i = ln(1 + r/A_i).
+def _logfamily_closed_form(c, u, w, zero_marginals, degenerate):
+    """Active-set water filling for U_i = ln(1 + r/A_i), all rows at once.
 
     On the active set S the stationarity w_i c_i / (A_i + rho_i c_i) = lam
     gives rho_i = w_i/lam - A_i/c_i, and the simplex constraint pins
     lam = sum_S w_i / (1 + sum_S A_i/c_i).  Users enter S in decreasing
     order of their marginal at zero share until the water level exceeds the
-    next user's zero marginal.
+    next user's zero marginal.  Degenerate rows come out as garbage and are
+    overwritten by the caller.
     """
-    n = c.size
-    with np.errstate(divide="ignore"):
+    t, n = c.shape
+    rows = np.arange(t)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
         a_over_c = u.concavity / c  # inf for a zero-rate user
-    order = np.argsort(-zero_marginals, kind="stable")
-    candidates = order[zero_marginals[order] > 0]
-    w_cum = np.cumsum(w[candidates])
-    aoc_cum = np.cumsum(a_over_c[candidates])
-    shares = np.zeros(n)
-    for k in range(candidates.size):
-        lam = w_cum[k] / (1.0 + aoc_cum[k])
-        last = k + 1 == candidates.size
-        # the water level sits above the next user's zero-share marginal
-        # exactly when that user belongs outside the active set
-        if last or lam > zero_marginals[candidates[k + 1]]:
-            active = candidates[: k + 1]
-            shares[active] = w[active] / lam - a_over_c[active]
-            break
-    shares = np.maximum(shares, 0.0)
-    shares /= shares.sum()
-    return shares, lam, 0
+        order = np.argsort(-zero_marginals, axis=1, kind="stable")
+        sorted_zm = zero_marginals[rows, order]
+        # users with a positive zero marginal (the candidates) lead each row
+        n_candidates = np.count_nonzero(sorted_zm > 0, axis=1)
+        levels = np.cumsum(w[order], axis=1) / (1.0 + np.cumsum(a_over_c[rows, order], axis=1))
+        # the water level with the first k+1 candidates sits above the next
+        # user's zero-share marginal exactly when that user belongs outside
+        position = np.arange(n)
+        stop = position >= n_candidates[:, None] - 1
+        stop[:, :-1] |= levels[:, :-1] > sorted_zm[:, 1:]
+        last_active = np.argmax(stop, axis=1)
+        lam = levels[rows[:, 0], last_active]
+
+        rank = np.empty_like(order)
+        rank[rows, order] = position
+        active = rank <= last_active[:, None]
+        shares = np.maximum(np.where(active, w / lam[:, None] - a_over_c, 0.0), 0.0)
+        total = shares.sum(axis=1, keepdims=True)
+        # rates so small against A that w/lam and A/c agree in every digit
+        # leave no share at all; any split of the active set then meets the
+        # KKT conditions to working precision, so split the frame by weight
+        cancelled = total[:, 0] == 0.0
+        if np.any(cancelled):
+            shares[cancelled] = np.where(active[cancelled], w, 0.0)
+            total[cancelled] = shares[cancelled].sum(axis=1, keepdims=True)
+        shares /= total
+    return shares, lam, np.zeros(t, dtype=int)
 
 
-def _bisect_multiplier(c, u, w, zero_marginals):
-    """Monotone bisection on the multiplier for generic concave utilities."""
+def _bisect_multiplier(c, u, w, zero_marginals, degenerate):
+    """Monotone bisection on the multiplier for generic concave utilities.
+
+    All rows bisect in lockstep; a row is frozen once its shares meet the
+    simplex tolerance, so it takes exactly the steps a solve of that frame
+    alone would take.
+    """
+    t, n = c.shape
     live = (w > 0) & (c > 0)
     w_live = np.where(live, w, 1.0)
 
-    def shares_at(lam):
-        return np.where(live, u.inverse_marginal_share(c, lam / w_live), 0.0)
-
-    hi = float(np.max(zero_marginals))
-    lo = float(np.min((w * u.marginal_share(c, 1.0))[zero_marginals > 0]))
-    for it in range(1, MAX_BISECT + 1):
-        lam = 0.5 * (lo + hi)
-        total = shares_at(lam).sum()
-        if abs(total - 1.0) <= SIMPLEX_TOL:
-            break
-        if total > 1.0:
-            lo = lam
-        else:
-            hi = lam
-    else:
-        raise ConvergenceError(
-            f"multiplier bisection did not meet simplex tolerance in {MAX_BISECT} steps",
-            diagnostics={"lo": lo, "hi": hi, "residual": shares_at(0.5 * (lo + hi)).sum() - 1.0},
+    def shares_at(lam, rows):
+        return np.where(
+            live[rows], u.inverse_marginal_share(c[rows], lam[:, None] / w_live[rows]), 0.0
         )
-    shares = shares_at(lam)
-    shares /= shares.sum()
-    return shares, lam, it
+
+    hi = np.max(zero_marginals, axis=1)
+    lo = np.min(np.where(zero_marginals > 0, w * u.marginal_share(c, 1.0), np.inf), axis=1)
+    lam = np.zeros(t)
+    iterations = np.zeros(t, dtype=int)
+    pending = np.flatnonzero(~degenerate)
+    for it in range(1, MAX_BISECT + 1):
+        if pending.size == 0:
+            break
+        lam[pending] = 0.5 * (lo[pending] + hi[pending])
+        total = shares_at(lam[pending], pending).sum(axis=1)
+        met = np.abs(total - 1.0) <= SIMPLEX_TOL
+        iterations[pending[met]] = it
+        above = ~met & (total > 1.0)
+        lo[pending[above]] = lam[pending[above]]
+        below = ~met & ~above
+        hi[pending[below]] = lam[pending[below]]
+        pending = pending[~met]
+    if pending.size:
+        worst = pending[0]
+        raise ConvergenceError(
+            f"multiplier bisection did not meet simplex tolerance in {MAX_BISECT} steps "
+            f"on {pending.size} frame(s), first frame {worst}",
+            diagnostics={
+                "frame": int(worst),
+                "lo": float(lo[worst]),
+                "hi": float(hi[worst]),
+                "residual": float(shares_at(0.5 * (lo[[worst]] + hi[[worst]]), [worst]).sum() - 1.0),
+            },
+        )
+    rows = np.flatnonzero(~degenerate)
+    shares = np.zeros((t, n))
+    shares[rows] = shares_at(lam[rows], rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares /= shares.sum(axis=1, keepdims=True)
+    return shares, lam, iterations
 
 
 def aggregate_utility(shares, peak_rates, utilities, weights=None) -> float:

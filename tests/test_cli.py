@@ -216,3 +216,27 @@ class TestInvalidConfigRejectedUpFront:
         out = tmp_path / "run"
         assert main(argv + ["--frames", "20", "--output", str(out)]) == 2
         assert not out.exists() or not list(out.glob("*.csv"))
+
+
+class TestMemoryKnobsRejectedUpFront:
+    @pytest.mark.parametrize("argv", [
+        ["qtsl", "--slots", "1025"],
+        ["qtsl", "--slots", "-1"],
+        ["qtsl", "--slots", "4,5000"],
+        ["jtpc", "--users", "2", "--training-samples", "500001"],
+        ["jtpc", "--users", "101"],
+        ["jtpc", "--training-samples", "0"],
+    ])
+    def test_exit_2_and_no_csv(self, tmp_path, argv, capsys):
+        out = tmp_path / "run"
+        assert main(argv + ["--frames", "20", "--output", str(out)]) == 2
+        assert not out.exists() or not list(out.glob("*.csv"))
+        assert "config error" in capsys.readouterr().err
+
+    def test_bounds_themselves_accepted(self):
+        from utilsched.simulate import MAX_SLOTS, MAX_TRAINING_ENTRIES, ExperimentConfig
+
+        ExperimentConfig(n_users=2, policy="qtsl", n_slots=MAX_SLOTS)
+        ExperimentConfig(n_users=2, policy="jtpc", training_samples=MAX_TRAINING_ENTRIES // 2)
+        # the training set is sized only for jtpc
+        ExperimentConfig(n_users=1000, policy="ts", training_samples=10_000)
