@@ -33,8 +33,9 @@ POLICIES = ("ts", "gs", "jtpc", "qtsl", "weighted_ts")
 
 # frame indices at and above this offset are reserved for training draws
 TRAINING_FRAME_OFFSET = 2**32
-# frames allocated and reduced per array pass; keeps frame arrays small
-BLOCK_FRAMES = 1024
+# frames allocated and reduced per array pass: enough that the per-block
+# overhead is negligible, few enough that a block's temporaries stay small
+BLOCK_FRAMES = 256
 # memory-sizing knobs: slots per frame, and jtpc training gains held at once
 MAX_SLOTS = 1024
 MAX_TRAINING_ENTRIES = 10**6

@@ -172,14 +172,13 @@ def _bisect_multiplier(c, u, w, zero_marginals, degenerate):
     for it in range(1, MAX_BISECT + 1):
         if pending.size == 0:
             break
-        lam[pending] = 0.5 * (lo[pending] + hi[pending])
-        total = shares_at(lam[pending], pending).sum(axis=1)
+        lam[pending] = mid = 0.5 * (lo[pending] + hi[pending])
+        total = shares_at(mid, pending).sum(axis=1)
+        above = total > 1.0
+        lo[pending] = np.where(above, mid, lo[pending])
+        hi[pending] = np.where(above, hi[pending], mid)
         met = np.abs(total - 1.0) <= SIMPLEX_TOL
         iterations[pending[met]] = it
-        above = ~met & (total > 1.0)
-        lo[pending[above]] = lam[pending[above]]
-        below = ~met & ~above
-        hi[pending[below]] = lam[pending[below]]
         pending = pending[~met]
     if pending.size:
         worst = pending[0]
