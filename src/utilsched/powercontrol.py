@@ -81,10 +81,13 @@ class PowerPolicy:
 
     def powers(self) -> np.ndarray:
         """Per-sample transmit powers energy/share, 0 where the share is 0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                self.shares > 0, self.energies / np.where(self.shares > 0, self.shares, 1.0), 0.0
-            )
+        return transmit_powers(self.shares, self.energies)
+
+
+def transmit_powers(shares, energies) -> np.ndarray:
+    """Transmit powers energy/share, 0 where the share is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(shares > 0, energies / np.where(shares > 0, shares, 1.0), 0.0)
 
 
 def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
@@ -368,8 +371,9 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
 
     The training multipliers stay fixed; per-frame shares and energies are
     re-solved against them by alternating the two block updates, which is
-    coordinate ascent on each frame's multiplier-penalized utility.  On a
-    training sample this reproduces the stored allocation.
+    coordinate ascent on each frame's multiplier-penalized utility, for at
+    most ``max_rounds`` rounds.  Training stops on its own objective
+    threshold, so a training sample's result can differ from its stored one.
 
     ``frame_gains`` may be one frame (N,) or a batch (n_frames, N); the
     result matches the input's shape.

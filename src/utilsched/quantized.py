@@ -6,11 +6,11 @@ scheduler maximizes the sum of bin-conditional expected utilities: each
 user's term is E[U(share * rate(g)) | g in its reported bin] under the
 truncated exponential gain density.
 
-Slots are assigned greedily, one at a time, to the user whose expected
-utility rises the most.  Because each user's increments shrink strictly as
-its share grows (strict concavity), picking the L globally largest
-increments is optimal, and the greedy result matches exhaustive enumeration;
-the tests certify that equivalence instance by instance.
+Each frame's L slots go to its L largest utility increments, picked for a
+block of frames in one stable sort.  Because each user's increments shrink
+strictly as its share grows (strict concavity), these are the slots the
+slot-by-slot greedy takes, and by marginal analysis the split is optimal;
+the tests certify it against exhaustive enumeration instance by instance.
 """
 
 from dataclasses import dataclass
@@ -36,14 +36,14 @@ def _gl_rule(n_nodes: int):
 
 def bin_expected_utility(
     utility,
-    share: float,
+    share,
     state: int,
     quantizer: Quantizer,
     mean_gain: float,
     link: LinkBudget,
     n_nodes: int = QUAD_NODES,
     tail_quantile: float = TAIL_QUANTILE,
-) -> float:
+):
     """E[U(share * rate(g)) | g in bin ``state``] for exponential gains.
 
     ``state`` is the 1-based quantizer state.  The expectation is taken
@@ -51,13 +51,14 @@ def bin_expected_utility(
     normalized by the bin mass; the unbounded last bin is truncated at the
     1 - tail_quantile quantile.  Gauss-Legendre quadrature with ``n_nodes``
     nodes is exact to near machine precision on these smooth integrands.
+    ``share`` may be an array: one quadrature pass gives every entry's
+    value, equal bit for bit to its float call.  A share of 0 has value 0.
     """
-    if not 0.0 <= share <= 1.0:
+    share = np.asarray(share, dtype=float)
+    if not np.all((share >= 0.0) & (share <= 1.0)):  # NaN fails too
         raise ValueError(f"share must lie in [0, 1], got {share}")
     if not 1 <= state <= quantizer.n_states:
         raise ValueError(f"state must lie in 1..{quantizer.n_states}, got {state}")
-    if share == 0.0:
-        return 0.0
     lower = quantizer.thresholds[state - 1]
     upper = quantizer.thresholds[state]
     if np.isinf(upper):
@@ -68,7 +69,10 @@ def bin_expected_utility(
     w = weights * 0.5 * (upper - lower)
     density = np.exp(-g / mean_gain) / mean_gain
     rates = achievable_rate(g, link.transmit_power, link)
-    return float(np.sum(w * utility.value(share * rates) * density) / mass)
+    # nodes on the last axis: each share's sum runs as in a one-share call
+    values = np.sum(w * utility.value(share[..., None] * rates) * density, axis=-1) / mass
+    values = np.where(share == 0.0, 0.0, values)
+    return float(values) if values.ndim == 0 else values
 
 
 def slot_compositions(n_slots: int, n_users: int):
@@ -86,8 +90,8 @@ class QuantizedScheduler:
     """Slot allocator over quantized channel states with a cached value table.
 
     Expected utilities depend only on (user, reported state, slot count), so
-    they are computed once per (user, state) pair on first use and reused
-    across frames.
+    one row is computed per (user, state) pair on first use and reused
+    across frames; an eager table would hold 2^16 rows per user at 16 bits.
     """
 
     utilities: object
@@ -109,7 +113,6 @@ class QuantizedScheduler:
         if self.n_slots < 1:
             raise ValueError("need at least one slot")
         self._table = {}
-        self._increments = {}
 
     @property
     def n_users(self) -> int:
@@ -119,47 +122,38 @@ class QuantizedScheduler:
         """Expected utilities of user at shares 0, 1/L, ..., 1 given its state."""
         key = (user, state)
         if key not in self._table:
-            values = np.array(
-                [
-                    bin_expected_utility(
-                        self.utilities.for_user(user),
-                        v / self.n_slots,
-                        state,
-                        self.quantizers[user],
-                        self.mean_gains[user],
-                        self.link,
-                    )
-                    for v in range(self.n_slots + 1)
-                ]
+            self._table[key] = bin_expected_utility(
+                self.utilities.for_user(user),
+                np.arange(self.n_slots + 1) / self.n_slots,
+                state,
+                self.quantizers[user],
+                self.mean_gains[user],
+                self.link,
             )
-            self._table[key] = values
         return self._table[key]
 
     def increments(self, user: int, state: int) -> np.ndarray:
         """Per-slot utility increments d(v) = value(v/L) - value((v-1)/L)."""
-        key = (user, state)
-        if key not in self._increments:
-            self._increments[key] = np.diff(self.share_utilities(user, state))
-        return self._increments[key]
-
-    def _increment(self, user: int, state: int, slots_held: int) -> float:
-        return float(self.increments(user, state)[slots_held])
+        return np.diff(self.share_utilities(user, state))
 
     def greedy_allocate(self, states) -> np.ndarray:
-        """Assign the L slots one at a time to the largest-increment user.
+        """Slot counts of each frame's L largest increments, shape of ``states``.
 
-        Runs exactly L rounds of N increment evaluations; ties go to the
-        lowest user index.
+        ``states`` is one frame (N,) or a block (T, N).  A stable sort of the
+        user-major increments orders them by value, then user, then slot; as
+        long as each user's increments do not increase (strict concavity),
+        its first L are the slot-by-slot greedy's picks, ties to lower users.
         """
-        states = self._check_states(states)
-        counts = np.zeros(self.n_users, dtype=int)
-        for _ in range(self.n_slots):
-            gains = [
-                self._increment(i, states[i], counts[i]) for i in range(self.n_users)
-            ]
-            best = int(np.argmax(gains))
-            counts[best] += 1
-        return counts
+        states = self._check_states(states, max_ndim=2)
+        block = states.reshape(-1, self.n_users)
+        increments = np.empty(block.shape + (self.n_slots,))
+        for user in range(self.n_users):
+            distinct, rows = np.unique(block[:, user], return_inverse=True)
+            increments[:, user] = np.stack([self.increments(user, s) for s in distinct])[rows]
+        flat = increments.reshape(len(block), -1)  # user-major
+        picks = np.argsort(-flat, axis=1, kind="stable")[:, : self.n_slots]
+        counts = np.sum(picks[..., None] // self.n_slots == np.arange(self.n_users), axis=1)
+        return counts.reshape(states.shape)
 
     def exhaustive_allocate(self, states, max_users: int = 4, max_slots: int = 6) -> np.ndarray:
         """Enumerate every slot split and return the best (ties: first in
@@ -192,11 +186,14 @@ class QuantizedScheduler:
     def shares(self, counts) -> np.ndarray:
         return np.asarray(counts, dtype=float) / self.n_slots
 
-    def _check_states(self, states) -> np.ndarray:
+    def _check_states(self, states, max_ndim: int = 1) -> np.ndarray:
+        """States as ints: one frame (N,), or a block (T, N) if ``max_ndim`` is 2."""
         states = np.atleast_1d(np.asarray(states, dtype=int))
-        if states.size != self.n_users:
-            raise ValueError(f"expected {self.n_users} states, got {states.size}")
-        for i, s in enumerate(states):
-            if not 1 <= s <= self.quantizers[i].n_states:
-                raise ValueError(f"state {s} out of range for user {i}")
+        if states.ndim > max_ndim or states.shape[-1] != self.n_users:
+            raise ValueError(f"expected {self.n_users} states per frame, got shape {states.shape}")
+        bad = np.argwhere((states < 1) | (states > [q.n_states for q in self.quantizers]))
+        if bad.size:
+            *frame, user = bad[0]
+            where = f"frame {frame[0]}, user {user}" if frame else f"user {user}"
+            raise ValueError(f"state {states[tuple(bad[0])]} out of range for {where}")
         return states

@@ -9,8 +9,9 @@ utility (`taur`), per-user mean rate and rate standard deviation, and mean
 occupancy.
 
 Frames run in blocks of ``BLOCK_FRAMES``: gains are drawn frame by frame,
-then a block is allocated (one batched call for time sharing; gradient and
-quantized scheduling still decide frame by frame) and reduced with array
+then a block is allocated (one batched call for time sharing and for
+quantized sharing; only gradient scheduling, whose state carries from one
+frame to the next, still decides frame by frame) and reduced with array
 operations that add its frames onto the running sums in frame order, so the
 statistics match a frame-by-frame loop bit for bit.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
 from .errors import NUMERIC_ERRORS, InvariantError
 from .gradsched import GradientSchedulerState, select_user, update_state
-from .powercontrol import apply_policy, solve_uplink
+from .powercontrol import apply_policy, solve_uplink, transmit_powers
 from .quantized import QuantizedScheduler
 from .timeshare import allocate_ts
 from .utility import LogUtility
@@ -155,11 +156,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
         )
         all_gains = _block_gains(model, config.seed, range(config.n_frames))
         all_shares, all_energies = apply_policy(policy, all_gains, utility, link)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            powers = np.where(
-                all_shares > 0, all_energies / np.where(all_shares > 0, all_shares, 1.0), 0.0
-            )
-        all_rates = achievable_rate(all_gains, powers, link)
+        all_rates = achievable_rate(all_gains, transmit_powers(all_shares, all_energies), link)
         for frames in _frame_blocks(config.n_frames):
             yield all_shares[frames.start : frames.stop], all_rates[frames.start : frames.stop]
         return
@@ -173,7 +170,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
         for frames in _frame_blocks(config.n_frames):
             gains = _block_gains(model, config.seed, frames)
             states = np.stack([quantize(gains[:, j], q) for j, q in enumerate(quantizers)], axis=1)
-            shares = np.stack([scheduler.shares(scheduler.greedy_allocate(s)) for s in states])
+            shares = scheduler.shares(scheduler.greedy_allocate(states))
             yield shares, achievable_rate(gains, link.transmit_power, link)
         return
 

@@ -25,7 +25,8 @@ from .utility import LogUtility, as_utility
 __all__ = ["MultiplierSolve", "allocate_ts", "aggregate_utility"]
 
 SIMPLEX_TOL = 1e-12
-MAX_BISECT = 200
+# a 1e300 rate opens a bracket that takes ~log2(1e300 / 1e-12) = 1,035 halvings
+MAX_BISECT = 1100
 
 
 @dataclass

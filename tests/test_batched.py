@@ -203,6 +203,19 @@ class TestAllocatorRows:
             allocate_ts(rates, [ScaledLog(0.1), ScaledLog(1.0)])
         assert info.value.diagnostics["frame"] == 0
 
+    def test_generic_path_converges_on_huge_and_tiny_rates(self):
+        # a 1e300 rate opens a bracket that takes over 1,000 halvings to close
+        rates = np.array([[1e300, 1.0], [1e300, 1e300], [1e-300, 1e300]])
+        utilities = [ScaledLog(0.5), ScaledLog(1.0)]
+        shares, solve = allocate_ts(rates, utilities)
+        closed_form, _ = allocate_ts(rates, LogUtility(np.array([0.5, 1.0])))
+        assert np.array_equal(shares, closed_form)
+        assert np.all(solve.iterations > 1000)
+        for t in range(rates.shape[0]):
+            expected, lam = reference_allocate(rates[t], utilities)
+            assert np.array_equal(shares[t], expected), t
+            assert solve.multiplier[t] == lam, t
+
     def test_single_frame_solve_is_scalar(self):
         shares, solve = allocate_ts([2.0, 1.0], LogUtility(0.1))
         assert shares.shape == (2,)

@@ -107,19 +107,6 @@ class TestGreedy:
         assert win_1 > win_2
         assert_allclose(sched.greedy_allocate([3, 2]), [1, 0])
 
-    def test_exactly_l_rounds_of_n_evaluations(self, monkeypatch):
-        sched = make_scheduler([1.0, 2.0, 0.5], 0.1, bits=1, slots=4)
-        calls = []
-        real = QuantizedScheduler._increment
-
-        def counting(self, *args):
-            calls.append(args)
-            return real(self, *args)
-
-        monkeypatch.setattr(QuantizedScheduler, "_increment", counting)
-        sched.greedy_allocate([1, 2, 1])
-        assert len(calls) == sched.n_slots * sched.n_users
-
     def test_dominated_extra_user_changes_nothing(self):
         base = make_scheduler([2.0, 3.0], 0.1, bits=2, slots=4)
         counts = base.greedy_allocate([4, 3])
@@ -189,3 +176,114 @@ class TestValidation:
                 LINK,
                 2,
             )
+
+
+def reference_greedy(sched, states):
+    """The slot-by-slot greedy on one frame, from scalar quadrature calls.
+
+    L rounds; each round gives one slot to the user whose next increment is
+    largest, ties to the lowest user index.
+    """
+    n, slots = sched.n_users, sched.n_slots
+    increments = [
+        np.diff([
+            bin_expected_utility(
+                sched.utilities.for_user(i), v / slots, states[i],
+                sched.quantizers[i], sched.mean_gains[i], sched.link,
+            )
+            for v in range(slots + 1)
+        ])
+        for i in range(n)
+    ]
+    counts = np.zeros(n, dtype=int)
+    for _ in range(slots):
+        gains = [float(increments[i][counts[i]]) for i in range(n)]
+        counts[int(np.argmax(gains))] += 1
+    return counts
+
+
+class TestBlockPick:
+    def test_batch_equals_slot_by_slot_greedy(self):
+        rng = np.random.default_rng(41)
+        cases = [(1, 4, 2), (3, 1, 2), (4, 6, 0), (1, 1, 0)] + [
+            (int(rng.integers(1, 9)), int(rng.integers(1, 30)), int(rng.integers(0, 4)))
+            for _ in range(36)
+        ]
+        for n, slots, bits in cases:
+            # draw means and concavities from short lists, so equal users tie
+            means = rng.choice([0.5, 2.0, 7.0], size=n)
+            concavities = rng.choice([0.1, 1.0, 4.0], size=n)
+            sched = make_scheduler(means, concavities, bits, slots)
+            states = rng.integers(1, 2**bits + 1, size=(int(rng.integers(1, 21)), n))
+            counts = sched.greedy_allocate(states)
+            assert counts.shape == states.shape
+            for t, frame in enumerate(states):
+                expected = reference_greedy(sched, frame)
+                assert np.array_equal(counts[t], expected), (n, slots, bits, t)
+                assert np.array_equal(sched.greedy_allocate(frame), expected)
+
+    def test_equal_users_tie_to_the_lower_index(self):
+        sched = make_scheduler([2.0, 2.0, 2.0], 0.1, bits=1, slots=4)
+        states = np.array([[2, 2, 2], [1, 1, 1], [1, 2, 2]])
+        assert sched.greedy_allocate(states).tolist() == [
+            reference_greedy(sched, s).tolist() for s in states
+        ] == [[2, 1, 1], [2, 1, 1], [0, 2, 2]]
+
+    def test_one_quadrature_call_per_user_and_state(self, monkeypatch):
+        calls = []
+        real = quantized_module.bin_expected_utility
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quantized_module, "bin_expected_utility", counting)
+        sched = make_scheduler([1.0, 2.0], 0.1, bits=2, slots=5)
+        sched.greedy_allocate([[1, 4], [1, 3], [1, 4]])
+        assert sorted(calls) == [1, 3, 4]
+
+
+class TestArrayShares:
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            bits = int(rng.integers(0, 4))
+            mean = float(rng.uniform(0.3, 20.0))
+            q = Quantizer.equal_probability(mean, bits)
+            u = LogUtility(float(rng.uniform(0.05, 5.0)))
+            state = int(rng.integers(1, 2**bits + 1))
+            shares = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=6)]).reshape(2, 4)
+            values = bin_expected_utility(u, shares, state, q, mean, LINK)
+            assert values.shape == (2, 4)
+            for index, share in np.ndenumerate(shares):
+                scalar = bin_expected_utility(u, float(share), state, q, mean, LINK)
+                assert isinstance(scalar, float)
+                assert values[index] == scalar
+            assert values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_one_bad_entry_raises(self, bad):
+        q = Quantizer.equal_probability(1.0, 1)
+        with pytest.raises(ValueError):
+            bin_expected_utility(LogUtility(0.1), np.array([0.0, 0.5, bad]), 1, q, 1.0, LINK)
+
+
+class TestBatchStates:
+    def test_bad_state_names_its_frame_and_user(self):
+        sched = make_scheduler([1.0, 1.0], 0.1, bits=1, slots=2)
+        states = np.ones((5, 2), dtype=int)
+        states[3, 1] = 3
+        with pytest.raises(ValueError, match="frame 3, user 1"):
+            sched.greedy_allocate(states)
+        states[3, 1] = 0
+        with pytest.raises(ValueError, match="frame 3, user 1"):
+            sched.greedy_allocate(states)
+
+    def test_shapes_checked(self):
+        sched = make_scheduler([1.0, 1.0], 0.1, bits=1, slots=2)
+        with pytest.raises(ValueError):
+            sched.greedy_allocate(np.ones((4, 3), dtype=int))
+        with pytest.raises(ValueError):
+            sched.greedy_allocate(np.ones((2, 2, 2), dtype=int))
+        with pytest.raises(ValueError):
+            sched.objective(np.ones((2, 2), dtype=int), [1, 1])
