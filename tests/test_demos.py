@@ -1,8 +1,8 @@
 """Smoke test: the demos run to completion and print their walk-through.
 
-``demos/03_joint_power_control.py`` is left out: it spends about 23 s in
-the joint power-control solve, whose per-sample share update for three or
-more users is still a nested bisection (ROADMAP item 3).
+``demos/03_joint_power_control.py`` is left out: it spends about 23 s
+training and applying joint power-control policies, whose nested
+bisections wait on ROADMAP item 3.
 """
 
 import os
