@@ -15,78 +15,58 @@ replay
     Re-run a recorded manifest and verify the CSV reproduces byte for byte.
 
 Config files are flat ``key = value`` text; every key is also exposed as a
-``--key`` flag which overrides the file.  Exit codes: 0 success, 1 failed
-self-check or replay mismatch, 2 invalid config, 3 numeric failure.
+``--key`` flag which overrides the file, and every subcommand accepts every
+key, ignoring those it does not read.  The sweep keys, with their types,
+defaults and sweep axes, are the fields of ``ExperimentConfig``; fairness
+reads six of them plus the ``tolerance``, ``step`` and ``max_iterations``
+parameters of ``adapt_weights``, with that signature's defaults.  Exit codes: 0 success, 1 failed self-check or replay
+mismatch, 2 invalid config, 3 numeric failure.
 """
 
 import argparse
 import hashlib
-import io
+import inspect
 import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, sample_gains
-from .errors import NUMERIC_ERRORS
+from .channel import LinkBudget, Quantizer
+from .errors import NUMERIC_ERRORS, ConfigError
 from .fairness import adapt_weights
 from .oracles import central_difference, grid_search_shares
 from .quantized import QuantizedScheduler
-from .simulate import ExperimentConfig, run_experiment, sweep
+from .simulate import ExperimentConfig, sweep
 from .timeshare import aggregate_utility, allocate_ts
 from .utility import LogUtility
 
 OUTPUT_DIR_ENV = "UTILSCHED_OUTDIR"
 
-# key -> (python type, may the sweep commands expand a list of values?)
-CONFIG_KEYS = {
-    "users": (int, True),
-    "mean_snr_db": (float, True),
-    "snr_gap_db": (float, False),
-    "concavity": (float, True),
-    "policy": (str, False),
-    "alpha": (float, False),
-    "delta": (float, False),
-    "power_budget": (float, False),
-    "slots": (int, True),
-    "feedback_bits": (int, True),
-    "frames": (int, False),
-    "seed": (int, False),
-    "training_samples": (int, False),
-    "tolerance": (float, False),
-    "step": (float, False),
-    "max_iterations": (int, False),
+# CLI key -> ExperimentConfig field, in field order: the sweep CSV's column order
+FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.metadata}
+# the keys of the sweep commands, with their defaults
+SWEEP_KEYS = {key: f.default for key, f in FIELDS.items()}
+# fairness reads these ExperimentConfig keys, then these adapt_weights knobs
+FAIRNESS_SHARED = ("users", "mean_snr_db", "snr_gap_db", "concavity", "frames", "seed")
+FAIRNESS_KNOBS = ("tolerance", "step", "max_iterations")
+FAIRNESS_KEYS = {key: SWEEP_KEYS[key] for key in FAIRNESS_SHARED} | {
+    key: inspect.signature(adapt_weights).parameters[key].default for key in FAIRNESS_KNOBS
 }
-
-SWEEP_DEFAULTS = {
-    "users": 2,
-    "mean_snr_db": 10.0,
-    "snr_gap_db": 8.2,
-    "concavity": 0.1,
-    "alpha": 0.01,
-    "delta": 1e-6,
-    "power_budget": 1.0,
-    "slots": 0,
-    "feedback_bits": 3,
-    "frames": 10_000,
-    "seed": 0,
-    "training_samples": 10_000,
-}
-
-
-class ConfigError(Exception):
-    """Malformed config file or flag value."""
+# fairness reads a list on these keys as one value per user
+PER_USER = ("mean_snr_db", "concavity")
+# every key, parsed as the type of its default
+KEY_TYPES = {key: type(default) for key, default in (SWEEP_KEYS | FAIRNESS_KEYS).items()}
 
 
 def _parse_value(key: str, text: str, where: str):
-    if key not in CONFIG_KEYS:
+    if key not in KEY_TYPES:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    kind, _ = CONFIG_KEYS[key]
+    kind = KEY_TYPES[key]
     parts = [p.strip() for p in str(text).split(",")]
     try:
         values = [kind(p) for p in parts]
@@ -113,53 +93,35 @@ def load_config_file(path: str) -> dict:
     return config
 
 
-def resolve_config(args) -> dict:
-    config = dict(SWEEP_DEFAULTS)
+def resolve_config(args, defaults=SWEEP_KEYS) -> dict:
+    """A command's keys: its defaults, then the config file, then the flags."""
+    config = dict(defaults)
     if args.config:
         config.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
+    for key in KEY_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             config[key] = _parse_value(key, flag, f"--{key.replace('_', '-')}")
-    return config
+    return {key: config[key] for key in defaults}
+
+
+def _check_lists(config: dict, allowed):
+    for key, value in config.items():
+        if isinstance(value, list) and key not in allowed:
+            raise ConfigError(f"key {key!r} cannot take a list of values")
 
 
 def expand_sweep(config: dict) -> list:
-    """Cartesian product over list-valued sweepable keys, in key order."""
-    axes = []
-    for key, (_, sweepable) in CONFIG_KEYS.items():
-        value = config.get(key)
-        if isinstance(value, list):
-            if not sweepable:
-                raise ConfigError(f"key {key!r} cannot take a list of values")
-            axes.append((key, value))
-    points = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        point = dict(config)
-        for (key, _), value in zip(axes, combo):
-            point[key] = value
-        points.append(point)
-    return points
+    """Cartesian product over list-valued sweepable keys, in field order."""
+    axes = [k for k, f in FIELDS.items() if f.metadata["sweep"] and isinstance(config.get(k), list)]
+    _check_lists(config, axes)
+    return [dict(config, **dict(zip(axes, combo)))
+            for combo in itertools.product(*(config[k] for k in axes))]
 
 
-def _experiment(point: dict, policy: str) -> ExperimentConfig:
+def _experiment(point: dict) -> ExperimentConfig:
     try:
-        return ExperimentConfig(
-            n_users=point["users"],
-            mean_snr_db=point["mean_snr_db"],
-            snr_gap_db=point["snr_gap_db"],
-            concavity=point["concavity"],
-            policy=policy,
-            n_frames=point["frames"],
-            seed=point["seed"],
-            smoothing=point["alpha"],
-            power_budget=point["power_budget"],
-            delta=point["delta"],
-            training_samples=point["training_samples"],
-            max_iterations=point.get("max_iterations", 100),
-            n_slots=point["slots"],
-            feedback_bits=point["feedback_bits"],
-        )
+        return ExperimentConfig(**{FIELDS[key].name: value for key, value in point.items()})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -198,36 +160,29 @@ class RunManifest:
 
 
 def _emit(out_dir: Path, tag: str, command: str, config: dict, header, rows):
-    buffer = io.StringIO()
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(row) + "\n")
-    data = buffer.getvalue().encode()
-
+    data = "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{tag}.csv"
     csv_path.write_bytes(data)
-    manifest = RunManifest(
+    RunManifest(
         command=command,
         version=__version__,
         config={k: _fmt(v) for k, v in config.items()},
         output_csv=csv_path.name,
         sha256=hashlib.sha256(data).hexdigest(),
-    )
-    manifest.write(out_dir / f"{tag}.manifest.json")
+    ).write(out_dir / f"{tag}.manifest.json")
     print(f"wrote {csv_path} ({len(rows)} rows)")
-    return manifest
 
 
 def _sweep_rows(points, entries, max_users):
-    keys = [k for k in CONFIG_KEYS if k not in ("tolerance", "step", "max_iterations")]
+    keys = [k for k, f in FIELDS.items() if f.metadata["column"]]
     header = keys + ["taur"]
     header += [f"mean_rate_user_{i + 1}" for i in range(max_users)]
     header += [f"rate_std_user_{i + 1}" for i in range(max_users)]
     header += ["error"]
     rows = []
     for point, entry in zip(points, entries):
-        row = [_fmt(point.get(k, "")) for k in keys]
+        row = [_fmt(point[k]) for k in keys]
         if entry.error is None:
             stats = entry.stats
             row.append(_fmt(stats.taur))
@@ -245,7 +200,7 @@ def cmd_sweep(args, policy: str) -> int:
     config = resolve_config(args)
     config["policy"] = policy
     points = expand_sweep(config)
-    experiments = [_experiment(p, policy) for p in points]
+    experiments = [_experiment(p) for p in points]
     entries = sweep(experiments)
     max_users = max(p["users"] for p in points)
     header, rows = _sweep_rows(points, entries, max_users)
@@ -258,44 +213,26 @@ def cmd_sweep(args, policy: str) -> int:
 
 
 def cmd_fairness(args) -> int:
-    config = resolve_config(args)
-    config.setdefault("tolerance", 1e-3)
-    config.setdefault("step", 0.5)
-    config.setdefault("max_iterations", 50)
-    n = config["users"]
-    snr = config["mean_snr_db"]
-    snr = snr if isinstance(snr, list) else [snr] * n
-    if len(snr) != n:
-        raise ConfigError(f"mean_snr_db needs 1 or {n} values, got {len(snr)}")
-    concavity = config["concavity"]
-    concavity = concavity if isinstance(concavity, list) else [concavity] * n
-    if len(concavity) != n:
-        raise ConfigError(f"concavity needs 1 or {n} values, got {len(concavity)}")
-
+    config = resolve_config(args, FAIRNESS_KEYS)
+    _check_lists(config, PER_USER)
+    experiment = _experiment({key: config[key] for key in FAIRNESS_SHARED})
     try:
-        link = LinkBudget(snr_gap_db=config["snr_gap_db"])
-        model = ChannelModel.from_snr_db(np.array(snr), link)
-        utility = LogUtility(concavity)
+        model, utility = experiment.channel(), experiment.utilities()
     except ValueError as exc:
         raise ConfigError(str(exc))
     weights, report = adapt_weights(
-        model,
-        utility,
-        link,
-        tolerance=config["tolerance"],
-        n_samples=config["frames"],
-        seed=config["seed"],
-        step=config["step"],
-        max_iterations=config["max_iterations"],
+        model, utility, experiment.link(), n_samples=experiment.n_frames, seed=experiment.seed,
+        **{key: config[key] for key in FAIRNESS_KNOBS},
     )
 
-    header = ["users", "mean_snr_db", "snr_gap_db", "concavity", "frames", "seed",
-              "tolerance", "step", "iterations", "spread", "common_value"]
+    n = experiment.n_users
+    per_user = {key: experiment.per_user(key).tolist() for key in PER_USER}
+    header = [*FAIRNESS_SHARED, "tolerance", "step", "iterations", "spread", "common_value"]
     header += [f"weight_user_{i + 1}" for i in range(n)]
     header += [f"avg_utility_user_{i + 1}" for i in range(n)]
-    row = [_fmt(v) for v in (n, snr, config["snr_gap_db"], concavity, config["frames"],
-                             config["seed"], config["tolerance"], config["step"],
-                             report.iterations, report.spread, report.common_value)]
+    row = [_fmt(per_user.get(key, config[key])) for key in FAIRNESS_SHARED]
+    row += [_fmt(v) for v in (config["tolerance"], config["step"],
+                              report.iterations, report.spread, report.common_value)]
     row += [_fmt(w) for w in weights]
     row += [_fmt(u) for u in report.average_utilities]
     tag = args.tag or "fairness"
@@ -428,8 +365,8 @@ def _add_common(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--output", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     parser.add_argument("--tag", help="basename for the CSV and manifest")
-    for key in CONFIG_KEYS:
-        if key == "policy":
+    for key in KEY_TYPES:
+        if key == "policy":  # implied by the subcommand
             continue
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             help=f"override config key {key}")

@@ -13,6 +13,10 @@ class ConvergenceError(RuntimeError):
         self.diagnostics = diagnostics
 
 
+class ConfigError(ValueError):
+    """A setting is malformed or out of its range; the CLI exits 2 on it."""
+
+
 class DegenerateBudgetError(ValueError):
     """A power budget cannot be met (e.g. every sampled gain is zero)."""
 

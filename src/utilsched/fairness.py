@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, LinkBudget, achievable_rate, sample_gains
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .timeshare import allocate_ts
 from .utility import as_utility
 
@@ -89,8 +89,11 @@ def adapt_weights(
         If the spread never falls below ``tolerance``; the best-so-far
         report rides along in ``diagnostics``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    if tolerance <= 0 or n_samples < 1 or max_iterations < 0:
+        raise ConfigError(
+            f"adapt_weights needs tolerance > 0, n_samples >= 1 and max_iterations >= 0, "
+            f"got {tolerance}, {n_samples} and {max_iterations}"
+        )
     nu = model.n_users
     u = as_utility(utilities, nu)
     gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])

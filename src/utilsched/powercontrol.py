@@ -295,6 +295,8 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2 or gains.shape[0] < 1:
         raise ValueError("need a nonempty (n_samples, n_users) gain matrix")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     n, nu = gains.shape
     u = as_utility(utilities, nu)
 

@@ -28,10 +28,10 @@ QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(n_nodes: int):
-    nodes, weights = leggauss(n_nodes)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _gl_rule():
+    """The QUAD_NODES-point Gauss-Legendre rule, built on first use, not at import."""
+    return leggauss(QUAD_NODES)
 
 
 def bin_expected_utility(
@@ -41,15 +41,13 @@ def bin_expected_utility(
     quantizer: Quantizer,
     mean_gain: float,
     link: LinkBudget,
-    n_nodes: int = QUAD_NODES,
-    tail_quantile: float = TAIL_QUANTILE,
 ):
     """E[U(share * rate(g)) | g in bin ``state``] for exponential gains.
 
     ``state`` is the 1-based quantizer state.  The expectation is taken
     against the exponential density restricted to [G_k, G_{k+1}) and
     normalized by the bin mass; the unbounded last bin is truncated at the
-    1 - tail_quantile quantile.  Gauss-Legendre quadrature with ``n_nodes``
+    1 - TAIL_QUANTILE quantile.  Gauss-Legendre quadrature with QUAD_NODES
     nodes is exact to near machine precision on these smooth integrands.
     ``share`` may be an array: one quadrature pass gives every entry's
     value, equal bit for bit to its float call.  A share of 0 has value 0.
@@ -62,9 +60,9 @@ def bin_expected_utility(
     lower = quantizer.thresholds[state - 1]
     upper = quantizer.thresholds[state]
     if np.isinf(upper):
-        upper = -mean_gain * np.log(tail_quantile)
+        upper = -mean_gain * np.log(TAIL_QUANTILE)
     mass = np.exp(-lower / mean_gain) - np.exp(-quantizer.thresholds[state] / mean_gain)
-    nodes, weights = _gl_rule(n_nodes)
+    nodes, weights = _gl_rule()
     g = 0.5 * (nodes + 1.0) * (upper - lower) + lower
     w = weights * 0.5 * (upper - lower)
     density = np.exp(-g / mean_gain) / mean_gain

@@ -8,15 +8,17 @@ share_i * rate_i.  Reported statistics are the time-averaged aggregate
 utility (`taur`), per-user mean rate and rate standard deviation, and mean
 occupancy.
 
-Frames run in blocks of ``BLOCK_FRAMES``: gains are drawn frame by frame,
-then a block is allocated (one batched call for time sharing and for
-quantized sharing; only gradient scheduling, whose state carries from one
-frame to the next, still decides frame by frame) and reduced with array
-operations that add its frames onto the running sums in frame order, so the
-statistics match a frame-by-frame loop bit for bit.
+Frames run in blocks of ``BLOCK_FRAMES`` (fewer for quantized sharing when
+users x slots is large, so that a block holds at most ``MAX_SLOT_ENTRIES``
+slot increments): gains are drawn frame by frame, then a block is allocated
+(one batched call for time sharing and for quantized sharing; only gradient
+scheduling, whose state carries from one frame to the next, still decides
+frame by frame) and reduced with array operations that add its frames onto
+the running sums in frame order, so the statistics match a frame-by-frame
+loop bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +42,14 @@ BLOCK_FRAMES = 256
 # memory-sizing knobs: slots per frame, and jtpc training gains held at once
 MAX_SLOTS = 1024
 MAX_TRAINING_ENTRIES = 10**6
+# qtsl slot increments (users x slots) per frame, and the most a block holds
+MAX_SLOT_ENTRIES = 2**16
+
+
+def _key(default, name=None, sweep=False, column=True):
+    """A field that is also a CLI key: ``name`` is the key if it is not the
+    field's name, ``sweep`` lets a list be a sweep axis, ``column`` puts it in the CSV."""
+    return field(default=default, metadata={"key": name, "sweep": sweep, "column": column})
 
 
 @dataclass
@@ -48,27 +58,29 @@ class ExperimentConfig:
 
     ``mean_snr_db``, ``concavity`` and ``power_budget`` accept a scalar
     (symmetric users) or one value per user.  Policy-specific knobs are
-    ignored by the other policies.
+    ignored by the other policies.  Each field up to ``max_iterations`` is
+    also a CLI key, with the field's default and type, and the fields come
+    in the order of the sweep CSV's columns.
     """
 
-    n_users: int
-    mean_snr_db: object = 10.0
-    snr_gap_db: float = 8.2
-    concavity: object = 0.1
-    policy: str = "ts"
-    n_frames: int = 10_000
-    seed: int = 0
+    n_users: int = _key(2, "users", sweep=True)
+    mean_snr_db: object = _key(10.0, sweep=True)
+    snr_gap_db: float = _key(8.2)
+    concavity: object = _key(0.1, sweep=True)
+    policy: str = _key("ts")
     # gradient scheduler
-    smoothing: float = 0.01
-    initial_avg_rate: float = 0.0
+    smoothing: float = _key(0.01, "alpha")
     # joint power control
-    power_budget: object = 1.0
-    delta: float = 1e-6
-    training_samples: int = 10_000
-    max_iterations: int = 100
-    # quantized time sharing
-    n_slots: int = 0  # 0 means one slot per user
-    feedback_bits: int = 3
+    delta: float = _key(1e-6)
+    power_budget: object = _key(1.0)
+    # quantized time sharing; 0 slots means one slot per user
+    n_slots: int = _key(0, "slots", sweep=True)
+    feedback_bits: int = _key(3, sweep=True)
+    n_frames: int = _key(10_000, "frames")
+    seed: int = _key(0)
+    training_samples: int = _key(10_000)
+    max_iterations: int = _key(100, column=False)
+    initial_avg_rate: float = 0.0
     # weighted time sharing
     weights: object = None
 
@@ -87,6 +99,11 @@ class ExperimentConfig:
             raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
         if not 0 <= self.n_slots <= MAX_SLOTS:
             raise ValueError(f"n_slots must lie in 0..{MAX_SLOTS}, got {self.n_slots}")
+        if self.policy == "qtsl" and self.n_users * (self.n_slots or self.n_users) > MAX_SLOT_ENTRIES:
+            raise ValueError(
+                f"qtsl needs n_users * n_slots <= {MAX_SLOT_ENTRIES} (0 slots means n_users), "
+                f"got {self.n_users} * {self.n_slots or self.n_users}"
+            )
         if self.policy == "jtpc" and not (
             1 <= self.training_samples and self.training_samples * self.n_users <= MAX_TRAINING_ENTRIES
         ):
@@ -94,16 +111,24 @@ class ExperimentConfig:
                 f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
                 f"{MAX_TRAINING_ENTRIES}, got {self.training_samples} * {self.n_users}"
             )
+        if self.policy == "jtpc" and self.max_iterations < 1:
+            raise ValueError(f"jtpc needs max_iterations >= 1, got {self.max_iterations}")
+
+    def per_user(self, name: str) -> np.ndarray:
+        """Field ``name`` as one float per user; a scalar is shared by all."""
+        value = np.asarray(getattr(self, name), dtype=float)
+        if value.ndim > 1 or value.size not in (1, self.n_users):
+            raise ValueError(f"{name} needs 1 or {self.n_users} values, got shape {value.shape}")
+        return np.broadcast_to(value, (self.n_users,))
 
     def link(self) -> LinkBudget:
         return LinkBudget(noise_power=1.0, snr_gap_db=self.snr_gap_db, transmit_power=1.0)
 
     def channel(self) -> ChannelModel:
-        snr = np.broadcast_to(np.asarray(self.mean_snr_db, dtype=float), (self.n_users,))
-        return ChannelModel.from_snr_db(snr, self.link())
+        return ChannelModel.from_snr_db(self.per_user("mean_snr_db"), self.link())
 
     def utilities(self) -> LogUtility:
-        return LogUtility(np.broadcast_to(np.asarray(self.concavity, dtype=float), (self.n_users,)))
+        return LogUtility(self.per_user("concavity"))
 
 
 @dataclass
@@ -119,10 +144,10 @@ class SimStats:
     degenerate_frames: int = 0
 
 
-def _frame_blocks(n_frames: int):
-    """Consecutive frame-index ranges of at most BLOCK_FRAMES frames."""
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        yield range(start, min(start + BLOCK_FRAMES, n_frames))
+def _frame_blocks(n_frames: int, size: int = BLOCK_FRAMES):
+    """Consecutive frame-index ranges of at most ``size`` frames."""
+    for start in range(0, n_frames, size):
+        yield range(start, min(start + size, n_frames))
 
 
 def _block_gains(model, seed: int, frames: range) -> np.ndarray:
@@ -146,7 +171,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
         return
 
     if config.policy == "jtpc":
-        budgets = np.broadcast_to(np.asarray(config.power_budget, dtype=float), (n,))
+        budgets = config.per_user("power_budget")
         training = _block_gains(
             model, config.seed, range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
         )
@@ -167,7 +192,10 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains
         ]
         scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, n_slots)
-        for frames in _frame_blocks(config.n_frames):
+        # the pick holds a few (frames, users, slots) arrays: cap their entries;
+        # the config's users x slots bound leaves at least one frame per block
+        block = min(BLOCK_FRAMES, MAX_SLOT_ENTRIES // (n * n_slots))
+        for frames in _frame_blocks(config.n_frames, block):
             gains = _block_gains(model, config.seed, frames)
             states = np.stack([quantize(gains[:, j], q) for j, q in enumerate(quantizers)], axis=1)
             shares = scheduler.shares(scheduler.greedy_allocate(states))

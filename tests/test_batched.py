@@ -240,6 +240,8 @@ class TestBlockFrameLoop:
         {"policy": "gs", "n_users": 4},
         {"policy": "gs", "n_users": 1},
         {"policy": "qtsl", "n_users": 3, "n_slots": 5, "feedback_bits": 2},
+        # 4 x 1024 increments per frame: the qtsl blocks shrink to 16 frames
+        {"policy": "qtsl", "n_users": 4, "n_slots": 1024, "feedback_bits": 1},
     ])
     def test_gs_and_qtsl_equal_per_frame_loop(self, extra):
         config = ExperimentConfig(n_frames=BLOCK_FRAMES + 30, seed=4, **extra)

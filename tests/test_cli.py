@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from utilsched.cli import (
+    FAIRNESS_KEYS,
+    KEY_TYPES,
+    SWEEP_KEYS,
     ConfigError,
     RunManifest,
     expand_sweep,
@@ -11,6 +16,9 @@ from utilsched.cli import (
     main,
     resolve_config,
 )
+
+DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -211,11 +219,24 @@ class TestInvalidConfigRejectedUpFront:
         ["fairness", "--users", "3", "--concavity", "0.1,1"],
         ["ts-sweep", "--snr-gap-db", "-1"],
         ["qtsl", "--feedback-bits", "40"],
+        ["fairness", "--users", "2,4"],
+        ["fairness", "--snr-gap-db", "1,2"],
+        ["fairness", "--seed", "1,2"],
+        ["fairness", "--tolerance", "0"],
+        ["fairness", "--max-iterations", "-1"],
+        ["jtpc", "--max-iterations", "0"],
     ])
     def test_exit_2_and_no_csv(self, tmp_path, argv):
         out = tmp_path / "run"
         assert main(argv + ["--frames", "20", "--output", str(out)]) == 2
         assert not out.exists() or not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("frames", ["100,200", "0"])
+    def test_fairness_frames(self, tmp_path, frames, capsys):
+        out = tmp_path / "run"
+        assert main(["fairness", "--frames", frames, "--output", str(out)]) == 2
+        assert not out.exists() or not list(out.glob("*.csv"))
+        assert "config error" in capsys.readouterr().err
 
 
 class TestMemoryKnobsRejectedUpFront:
@@ -226,6 +247,9 @@ class TestMemoryKnobsRejectedUpFront:
         ["jtpc", "--users", "2", "--training-samples", "500001"],
         ["jtpc", "--users", "101"],
         ["jtpc", "--training-samples", "0"],
+        ["qtsl", "--users", "257"],
+        ["qtsl", "--users", "128", "--slots", "1024"],
+        ["qtsl", "--users", "64,65", "--slots", "1024"],
     ])
     def test_exit_2_and_no_csv(self, tmp_path, argv, capsys):
         out = tmp_path / "run"
@@ -240,3 +264,41 @@ class TestMemoryKnobsRejectedUpFront:
         ExperimentConfig(n_users=2, policy="jtpc", training_samples=MAX_TRAINING_ENTRIES // 2)
         # the training set is sized only for jtpc
         ExperimentConfig(n_users=1000, policy="ts", training_samples=10_000)
+
+    def test_qtsl_entry_bound_itself_accepted(self):
+        from utilsched.simulate import MAX_SLOT_ENTRIES, ExperimentConfig
+
+        ExperimentConfig(n_users=MAX_SLOT_ENTRIES // 1024, policy="qtsl", n_slots=1024)
+        ExperimentConfig(n_users=256, policy="qtsl")  # 0 slots: one per user
+        # the users x slots bound is for qtsl only
+        ExperimentConfig(n_users=257, policy="ts")
+
+
+class TestParentManifestsReplay:
+    """Manifests recorded before the CLI took its keys from ExperimentConfig.
+
+    The fairness one lists every sweep key, including the ones fairness
+    ignores; the sweep ones lack ``max_iterations``.
+    """
+
+    @pytest.mark.parametrize("name", ["ts_sweep", "jtpc", "fairness"])
+    def test_replays_verified(self, tmp_path, name, capsys):
+        manifest = DATA / f"{name}.manifest.json"
+        assert main(["replay", str(manifest), "--output", str(tmp_path)]) == 0
+        assert "replay verified" in capsys.readouterr().out
+
+
+class TestReadmeKeyTable:
+    def test_lists_exactly_the_cli_keys_and_defaults(self):
+        sweep, fairness = {}, {}
+        for line in README.read_text().splitlines():
+            match = re.fullmatch(r"\| `(\w+)` \|.*\| (.*) \| (.*) \|", line)
+            if match:
+                key, sweep_default, fairness_default = match.groups()
+                if sweep_default:
+                    sweep[key] = KEY_TYPES[key](sweep_default)
+                if fairness_default:
+                    fairness[key] = KEY_TYPES[key](fairness_default)
+        # the subcommand sets policy; it has no flag
+        assert sweep == {k: v for k, v in SWEEP_KEYS.items() if k != "policy"}
+        assert fairness == FAIRNESS_KEYS
