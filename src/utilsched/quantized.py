@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .channel import LinkBudget, Quantizer, achievable_rate
 from .utility import as_utility
@@ -31,6 +30,8 @@ TAIL_QUANTILE = 1e-9
 @lru_cache(maxsize=1)
 def _gl_rule():
     """The QUAD_NODES-point Gauss-Legendre rule, built on first use, not at import."""
+    from numpy.polynomial.legendre import leggauss  # ~5 ms to import: not at CLI start-up
+
     return leggauss(QUAD_NODES)
 
 
