@@ -38,12 +38,12 @@ class LinkBudget:
     transmit_power: float = 1.0
 
     def __post_init__(self):
-        if self.noise_power <= 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
-        if self.snr_gap_db < 0:
-            raise ValueError(f"snr_gap_db must be >= 0, got {self.snr_gap_db}")
-        if self.transmit_power < 0:
-            raise ValueError(f"transmit_power must be >= 0, got {self.transmit_power}")
+        if not 0 < self.noise_power < np.inf:
+            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
+        if not 0 <= self.snr_gap_db < np.inf:
+            raise ValueError(f"snr_gap_db must be finite and >= 0, got {self.snr_gap_db}")
+        if not 0 <= self.transmit_power < np.inf:
+            raise ValueError(f"transmit_power must be finite and >= 0, got {self.transmit_power}")
 
     @property
     def snr_gap(self) -> float:
@@ -86,8 +86,8 @@ class ChannelModel:
         self.mean_gains = np.atleast_1d(np.asarray(self.mean_gains, dtype=float))
         if self.mean_gains.ndim != 1 or self.mean_gains.size < 1:
             raise ValueError("mean_gains must be a nonempty 1-D vector")
-        if np.any(self.mean_gains <= 0):
-            raise ValueError("every mean gain must be > 0")
+        if not np.all((0 < self.mean_gains) & (self.mean_gains < np.inf)):
+            raise ValueError(f"every mean gain must be finite and > 0, got {self.mean_gains}")
 
     @property
     def n_users(self) -> int:

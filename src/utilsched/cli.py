@@ -216,12 +216,9 @@ def cmd_fairness(args) -> int:
     config = resolve_config(args, FAIRNESS_KEYS)
     _check_lists(config, PER_USER)
     experiment = _experiment({key: config[key] for key in FAIRNESS_SHARED})
-    try:
-        model, utility = experiment.channel(), experiment.utilities()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     weights, report = adapt_weights(
-        model, utility, experiment.link(), n_samples=experiment.n_frames, seed=experiment.seed,
+        experiment.channel(), experiment.utilities(), experiment.link(),
+        n_samples=experiment.n_frames, seed=experiment.seed,
         **{key: config[key] for key in FAIRNESS_KNOBS},
     )
 

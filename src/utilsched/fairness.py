@@ -89,10 +89,10 @@ def adapt_weights(
         If the spread never falls below ``tolerance``; the best-so-far
         report rides along in ``diagnostics``.
     """
-    if tolerance <= 0 or n_samples < 1 or max_iterations < 0:
+    if not (tolerance > 0 and 0 < step < np.inf and n_samples >= 1 and max_iterations >= 0):
         raise ConfigError(
-            f"adapt_weights needs tolerance > 0, n_samples >= 1 and max_iterations >= 0, "
-            f"got {tolerance}, {n_samples} and {max_iterations}"
+            f"adapt_weights needs tolerance > 0, finite step > 0, n_samples >= 1 and "
+            f"max_iterations >= 0, got {tolerance}, {step}, {n_samples} and {max_iterations}"
         )
     nu = model.n_users
     u = as_utility(utilities, nu)

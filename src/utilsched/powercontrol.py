@@ -20,8 +20,8 @@ variant pools everything under one total-power multiplier.  Because every
 block update is an exact maximization, the recorded objective sequence is
 nondecreasing, which the tests assert directly.
 
-All inner solves are bisections vectorized across the whole sample grid;
-each marginal is one call of the users' utility on the whole grid.
+All inner solves are one bisection (``_bisect``) vectorized across the
+whole sample grid; each marginal is one call of the users' utility on it.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ import numpy as np
 from .channel import LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
 from .timeshare import allocate_ts
-from .utility import as_utility
+from .utility import as_utility, per_share
 
 __all__ = [
     "PowerPolicy",
@@ -86,8 +86,29 @@ class PowerPolicy:
 
 def transmit_powers(shares, energies) -> np.ndarray:
     """Transmit powers energy/share, 0 where the share is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(shares > 0, energies / np.where(shares > 0, shares, 1.0), 0.0)
+    return per_share(energies, shares)
+
+
+def _bisect(rises, lo, hi, steps):
+    """Halve [lo, hi] ``steps`` times, keeping the upper half wherever
+    ``rises(mid)`` holds; return the final midpoint."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        up = rises(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _widen(short, x, factor, steps, error):
+    """Scale the entries of ``x`` where ``short(x)`` holds by ``factor`` until
+    none is short; raise ``error`` if one still is after ``steps`` scalings."""
+    for _ in range(steps + 1):
+        need = short(x)
+        if not need.any():
+            return x
+        x = np.where(need, factor * x, x)
+    raise error
 
 
 def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
@@ -117,18 +138,15 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
 def _update_shares_pair(u, gains, energies, link, active):
     """Equalize the two marginals by bisection on the first user's share."""
     n = gains.shape[0]
-    lo = np.zeros(n)
-    hi = np.ones(n)
     rho = np.empty((n, 2))
-    for _ in range(SHARE_BISECT):
-        mid = 0.5 * (lo + hi)
+
+    def rises(mid):
         rho[:, 0] = mid
         rho[:, 1] = 1.0 - mid
         m = u.marginal_share_with_energy(rho, energies, gains, link)
-        grow = m[:, 0] > m[:, 1]
-        lo = np.where(grow, mid, lo)
-        hi = np.where(grow, hi, mid)
-    first = 0.5 * (lo + hi)
+        return m[:, 0] > m[:, 1]
+
+    first = _bisect(rises, np.zeros(n), np.ones(n), SHARE_BISECT)
     # single-transmitter and dead samples override the interior solution
     first = np.where(active[:, 0] & ~active[:, 1], 1.0, first)
     first = np.where(active[:, 1] & ~active[:, 0], 0.0, first)
@@ -150,27 +168,15 @@ def _update_shares_general(u, gains, energies, link, active):
     hi = np.maximum(hi, lo)
 
     def shares_at(lam):
-        rho_lo = np.zeros((n, nu))
-        rho_hi = np.ones((n, nu))
-        at_cap = active & (m_one >= lam[:, None])
-        for _ in range(INNER_BISECT):
-            mid = 0.5 * (rho_lo + rho_hi)
-            m = u.marginal_share_with_energy(mid, energies, gains, link)
-            grow = m > lam[:, None]
-            rho_lo = np.where(grow, mid, rho_lo)
-            rho_hi = np.where(grow, rho_hi, mid)
-        rho = 0.5 * (rho_lo + rho_hi)
-        rho = np.where(at_cap, 1.0, rho)
+        rho = _bisect(
+            lambda mid: u.marginal_share_with_energy(mid, energies, gains, link) > lam[:, None],
+            np.zeros((n, nu)), np.ones((n, nu)), INNER_BISECT,
+        )
+        rho = np.where(active & (m_one >= lam[:, None]), 1.0, rho)
         return np.where(active, rho, 0.0)
 
-    for _ in range(SHARE_BISECT):
-        lam = 0.5 * (lo + hi)
-        total = shares_at(lam).sum(axis=1)
-        over = total > 1.0
-        lo = np.where(over, lam, lo)
-        hi = np.where(over, hi, lam)
-
-    shares = shares_at(0.5 * (lo + hi))
+    lam = _bisect(lambda lam: shares_at(lam).sum(axis=1) > 1.0, lo, hi, SHARE_BISECT)
+    shares = shares_at(lam)
     total = shares.sum(axis=1)
     shares[live] /= total[live, None]
     shares[~live] = 1.0 / nu
@@ -180,7 +186,8 @@ def _update_shares_general(u, gains, energies, link, active):
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
-    ``multiplier`` broadcasts over the (n_samples, n_users) grid.
+    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  Raises
+    ``ConvergenceError`` if 120 doublings cannot bracket an energy.
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
@@ -190,22 +197,13 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     if not active.any():
         return zeros
 
-    s_hi = np.ones((n, nu))
-    for _ in range(120):
-        m = u.marginal_energy(shares, np.where(active, s_hi, 0.0), gains, link)
-        need = active & (m >= multiplier)
-        if not need.any():
-            break
-        s_hi = np.where(need, 2.0 * s_hi, s_hi)
+    def marginal(energy):
+        return u.marginal_energy(shares, np.where(active, energy, 0.0), gains, link)
 
-    s_lo = np.zeros((n, nu))
-    for _ in range(INNER_BISECT):
-        mid = 0.5 * (s_lo + s_hi)
-        m = u.marginal_energy(shares, np.where(active, mid, 0.0), gains, link)
-        grow = active & (m > multiplier)
-        s_lo = np.where(grow, mid, s_lo)
-        s_hi = np.where(grow, s_hi, mid)
-    return np.where(active, 0.5 * (s_lo + s_hi), 0.0)
+    s_hi = _widen(lambda s: active & (marginal(s) >= multiplier), np.ones((n, nu)), 2.0, 120,
+                  ConvergenceError("energy bracket not found in 120 doublings"))
+    energies = _bisect(lambda s: active & (marginal(s) > multiplier), zeros, s_hi, INNER_BISECT)
+    return np.where(active, energies, 0.0)
 
 
 def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
@@ -261,23 +259,10 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
     def spent_at(lam):
         return spent(_waterfill_energies(u, gains, shares, link, lam[None, :], m_zero))
 
-    lo = hi = peak
-    for _ in range(200):
-        short = spent_at(lo) < budgets
-        if not short.any():
-            break
-        lo = np.where(short, lo / 2.0, lo)
-    else:
-        raise DegenerateBudgetError("budget unreachable while lowering the water level")
-
-    for _ in range(ENERGY_BISECT):
-        lam = 0.5 * (lo + hi)
-        over = spent_at(lam) > budgets
-        # spending too much means the multiplier is too low
-        lo = np.where(over, lam, lo)
-        hi = np.where(over, hi, lam)
-
-    lam = 0.5 * (lo + hi)
+    lo = _widen(lambda lam: spent_at(lam) < budgets, peak, 0.5, 200,
+                DegenerateBudgetError("budget unreachable while lowering the water level"))
+    # spending too much means the multiplier is too low
+    lam = _bisect(lambda lam: spent_at(lam) > budgets, lo, peak, ENERGY_BISECT)
     energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
     # absorb the last bisection gap so the budgets are met exactly
     return energies * (budgets / spent(energies)), lam
@@ -301,10 +286,12 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     u = as_utility(utilities, nu)
 
     if pooled:
-        total_budget = float(budgets)
-        per_user = np.full(nu, total_budget / nu)
+        budgets = np.array([float(budgets)])
+        per_user = np.full(nu, budgets[0] / nu)
+        update = update_energies_pooled
     else:
-        per_user = np.broadcast_to(np.asarray(budgets, dtype=float), (nu,)).copy()
+        budgets = per_user = np.broadcast_to(np.asarray(budgets, dtype=float), (nu,)).copy()
+        update = update_energies
 
     shares = np.full((n, nu), 1.0 / nu)
     energies = np.tile(per_user, (n, 1))
@@ -317,10 +304,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
             trace.converged = True
             break
-        if pooled:
-            energies, multipliers = update_energies_pooled(gains, shares, u, total_budget, link)
-        else:
-            energies, multipliers = update_energies(gains, shares, u, per_user, link)
+        energies, multipliers = update(gains, shares, u, budgets, link)
     else:
         raise ConvergenceError(
             f"objective still improving after {max_iterations} iterations", diagnostics=trace
@@ -330,7 +314,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
         gains=gains,
         shares=shares,
         energies=energies,
-        budgets=np.array([total_budget]) if pooled else per_user,
+        budgets=budgets,
         multipliers=np.asarray(multipliers),
         pooled=pooled,
     )

@@ -60,7 +60,8 @@ class ExperimentConfig:
     (symmetric users) or one value per user.  Policy-specific knobs are
     ignored by the other policies.  Each field up to ``max_iterations`` is
     also a CLI key, with the field's default and type, and the fields come
-    in the order of the sweep CSV's columns.
+    in the order of the sweep CSV's columns.  Construction raises
+    ``ValueError`` for an out-of-range or non-finite value, before any work.
     """
 
     n_users: int = _key(2, "users", sweep=True)
@@ -93,7 +94,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if not 0.0 < self.smoothing < 1.0:
             raise ValueError(f"smoothing must lie in (0, 1), got {self.smoothing}")
-        self.link()  # rejects a negative snr_gap_db
+        if not 0 <= self.seed < 2**128:  # the Philox key's range
+            raise ValueError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
+        # building these rejects a negative or non-finite snr_gap_db, mean_snr_db
+        # or concavity, and a per-user list of the wrong length
+        self.channel()
+        self.utilities()
         # the quantizer tables hold 2**feedback_bits states per user
         if not 0 <= self.feedback_bits <= 16:
             raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
@@ -104,15 +110,21 @@ class ExperimentConfig:
                 f"qtsl needs n_users * n_slots <= {MAX_SLOT_ENTRIES} (0 slots means n_users), "
                 f"got {self.n_users} * {self.n_slots or self.n_users}"
             )
-        if self.policy == "jtpc" and not (
-            1 <= self.training_samples and self.training_samples * self.n_users <= MAX_TRAINING_ENTRIES
-        ):
-            raise ValueError(
-                f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
-                f"{MAX_TRAINING_ENTRIES}, got {self.training_samples} * {self.n_users}"
-            )
-        if self.policy == "jtpc" and self.max_iterations < 1:
-            raise ValueError(f"jtpc needs max_iterations >= 1, got {self.max_iterations}")
+        if self.policy == "jtpc":
+            if not (
+                1 <= self.training_samples and self.training_samples * self.n_users <= MAX_TRAINING_ENTRIES
+            ):
+                raise ValueError(
+                    f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
+                    f"{MAX_TRAINING_ENTRIES}, got {self.training_samples} * {self.n_users}"
+                )
+            if self.max_iterations < 1:
+                raise ValueError(f"jtpc needs max_iterations >= 1, got {self.max_iterations}")
+            budgets = self.per_user("power_budget")
+            if not np.all((0 < budgets) & (budgets < np.inf)):
+                raise ValueError(f"jtpc needs every power_budget finite and > 0, got {self.power_budget}")
+            if not self.delta >= 0:
+                raise ValueError(f"jtpc needs delta >= 0, got {self.delta}")
 
     def per_user(self, name: str) -> np.ndarray:
         """Field ``name`` as one float per user; a scalar is shared by all."""

@@ -89,8 +89,7 @@ class Utility(ABC):
         if np.any((share == 0) & (energy > 0)):
             raise ValueError("energy > 0 with share == 0 is undefined")
         snr = np.asarray(gain, dtype=float) / link.effective_noise
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(share > 0, energy * snr / np.where(share > 0, share, 1.0), 0.0)
+        x = per_share(energy * snr, share)
         rate = share * np.log1p(x) / LN2
         out = np.where(share > 0, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
         return out if out.ndim else float(out)
@@ -105,22 +104,24 @@ class Utility(ABC):
         if np.any(share < 0):
             raise ValueError("share must be >= 0")
         snr = np.multiply(energy, gain) / link.effective_noise
-        pos = share > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(pos, snr / np.where(pos, share, 1.0), 0.0)
+        x = per_share(snr, share)
         full = np.log1p(x) / LN2
         rate = share * full
         out = self.derivative(rate) * (full - x / (LN2 * (1.0 + x)))
-        out = np.where(pos, out, np.where(snr > 0, np.inf, 0.0))
+        out = np.where(share > 0, out, np.where(snr > 0, np.inf, 0.0))
         return out if out.ndim else float(out)
+
+
+def per_share(value, share):
+    """``value / share``, and 0 where the share is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(share > 0, value / np.where(share > 0, share, 1.0), 0.0)
 
 
 def _rate_from_energy(share, energy, gain, link: LinkBudget):
     share = np.asarray(share, dtype=float)
     snr = np.multiply(energy, gain) / link.effective_noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(share > 0, snr / np.where(share > 0, share, 1.0), 0.0)
-    return share * np.log1p(x) / LN2
+    return share * np.log1p(per_share(snr, share)) / LN2
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ class LogUtility(Utility):
 
     def __post_init__(self):
         a = np.array(self.concavity, dtype=float)
-        if a.ndim > 1 or np.any(~(a > 0)):
-            raise ValueError(f"concavity must be > 0 (scalar or 1-D), got {self.concavity}")
+        if a.ndim > 1 or not np.all((0 < a) & (a < np.inf)):
+            raise ValueError(f"concavity must be finite and > 0 (scalar or 1-D), got {self.concavity}")
         a.flags.writeable = False
         object.__setattr__(self, "concavity", float(a) if a.ndim == 0 else a)
 

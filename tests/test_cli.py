@@ -225,6 +225,22 @@ class TestInvalidConfigRejectedUpFront:
         ["fairness", "--tolerance", "0"],
         ["fairness", "--max-iterations", "-1"],
         ["jtpc", "--max-iterations", "0"],
+        ["ts-sweep", "--mean-snr-db", "nan"],
+        ["ts-sweep", "--snr-gap-db", "nan"],
+        ["gs-sweep", "--mean-snr-db", "nan"],
+        ["ts-sweep", "--mean-snr-db", "inf"],
+        ["ts-sweep", "--snr-gap-db", "inf"],
+        ["ts-sweep", "--concavity", "inf"],
+        ["ts-sweep", "--concavity", "-1"],
+        ["jtpc", "--power-budget", "-1"],
+        ["jtpc", "--power-budget", "0"],
+        ["jtpc", "--power-budget", "nan"],
+        ["jtpc", "--delta", "-1"],
+        ["jtpc", "--delta", "nan"],
+        ["ts-sweep", "--seed", "-1"],
+        ["fairness", "--tolerance", "nan"],
+        ["fairness", "--step", "nan"],
+        ["fairness", "--step", "0"],
     ])
     def test_exit_2_and_no_csv(self, tmp_path, argv):
         out = tmp_path / "run"

@@ -216,3 +216,30 @@ class TestApplyPolicy:
         shares, energies = apply_policy(policy, np.array([1.5, 0.5]), u, LINK)
         assert shares.shape == (2,) and energies.shape == (2,)
         assert abs(shares.sum() - 1.0) <= 1e-9
+
+
+class TestUnbracketedEnergy:
+    """A multiplier so small that the energy root lies beyond 2**120."""
+
+    GAINS = np.array([1.0, 2.0])
+
+    def apply_at(self, multiplier):
+        from utilsched.powercontrol import PowerPolicy
+
+        policy = PowerPolicy(
+            gains=self.GAINS[None, :], shares=np.full((1, 2), 0.5), energies=np.ones((1, 2)),
+            budgets=np.ones(2), multipliers=np.full(2, multiplier),
+        )
+        return apply_policy(policy, self.GAINS, LogUtility(1.0), LINK)
+
+    def test_raises_instead_of_bisecting_outside_the_bracket(self):
+        with pytest.raises(ConvergenceError, match="bracket"):
+            self.apply_at(1e-40)
+
+    def test_largest_bracketed_multiplier_meets_kkt(self):
+        u = LogUtility(1.0)
+        shares, energies = self.apply_at(1e-30)
+        assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
+        assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), 1e-30, rtol=1e-9)
+        share_marginals = u.marginal_share_with_energy(shares, energies, self.GAINS, LINK)
+        assert_allclose(share_marginals[0], share_marginals[1], rtol=1e-9)
