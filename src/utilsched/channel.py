@@ -100,7 +100,10 @@ class ChannelModel:
         ``mean_snr_db`` may be a scalar (symmetric users require passing a
         vector of repeated values) or a per-user vector.
         """
-        snr = 10.0 ** (np.atleast_1d(np.asarray(mean_snr_db, dtype=float)) / 10.0)
+        with np.errstate(over="ignore"):
+            snr = 10.0 ** (np.atleast_1d(np.asarray(mean_snr_db, dtype=float)) / 10.0)
+        if not np.all(snr < np.inf):  # NaN fails too
+            raise ValueError(f"mean_snr_db must give a finite linear SNR, got {mean_snr_db}")
         if link.transmit_power <= 0:
             raise ValueError("from_snr_db requires transmit_power > 0")
         return cls(snr * link.noise_power / link.transmit_power)

@@ -231,6 +231,7 @@ class TestInvalidConfigRejectedUpFront:
         ["ts-sweep", "--mean-snr-db", "inf"],
         ["ts-sweep", "--snr-gap-db", "inf"],
         ["ts-sweep", "--concavity", "inf"],
+        ["ts-sweep", "--mean-snr-db", "4000"],
         ["ts-sweep", "--concavity", "-1"],
         ["jtpc", "--power-budget", "-1"],
         ["jtpc", "--power-budget", "0"],
