@@ -236,7 +236,7 @@ class TestUnbracketedEnergy:
         with pytest.raises(ConvergenceError, match="bracket"):
             self.apply_at(1e-40)
 
-    def test_largest_bracketed_multiplier_meets_kkt(self):
+    def test_small_bracketed_multiplier_meets_kkt(self):
         u = LogUtility(1.0)
         shares, energies = self.apply_at(1e-30)
         assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
