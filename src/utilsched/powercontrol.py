@@ -21,7 +21,12 @@ block update is an exact maximization, the recorded objective sequence is
 nondecreasing, which the tests assert directly.
 
 All inner solves are one bisection (``_bisect``) vectorized across the
-whole sample grid; each marginal is one call of the users' utility on it.
+whole sample grid; each step evaluates a marginal that the users' utility
+built once for the solve (``energy_marginal``, ``share_marginal``).
+
+``apply_policy`` re-solves fresh frames against the fixed multipliers by
+the same alternation and freezes a frame once a round reproduces its
+shares and energies bit for bit, re-solving only the frames still moving.
 """
 
 from dataclasses import dataclass, field
@@ -139,11 +144,12 @@ def _update_shares_pair(u, gains, energies, link, active):
     """Equalize the two marginals by bisection on the first user's share."""
     n = gains.shape[0]
     rho = np.empty((n, 2))
+    marginal = u.share_marginal(energies, gains, link)
 
     def rises(mid):
         rho[:, 0] = mid
         rho[:, 1] = 1.0 - mid
-        m = u.marginal_share_with_energy(rho, energies, gains, link)
+        m = marginal(rho)
         return m[:, 0] > m[:, 1]
 
     first = _bisect(rises, np.zeros(n), np.ones(n), SHARE_BISECT)
@@ -158,9 +164,10 @@ def _update_shares_general(u, gains, energies, link, active):
     n, nu = gains.shape
     live = active.any(axis=1)
 
+    marginal = u.share_marginal(energies, gains, link)
     ones = np.ones((n, nu))
-    m_low = u.marginal_share_with_energy(ones / nu, energies, gains, link)
-    m_one = u.marginal_share_with_energy(ones, energies, gains, link)
+    m_low = marginal(ones / nu)
+    m_one = marginal(ones)
 
     hi = np.where(active, m_low, 0.0).max(axis=1)
     lo = np.where(active, m_one, np.inf).min(axis=1)
@@ -169,7 +176,7 @@ def _update_shares_general(u, gains, energies, link, active):
 
     def shares_at(lam):
         rho = _bisect(
-            lambda mid: u.marginal_share_with_energy(mid, energies, gains, link) > lam[:, None],
+            lambda mid: marginal(mid) > lam[:, None],
             np.zeros((n, nu)), np.ones((n, nu)), INNER_BISECT,
         )
         rho = np.where(active & (m_one >= lam[:, None]), 1.0, rho)
@@ -191,14 +198,15 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
+    energy_marginal = u.energy_marginal(shares, gains, link)
     if m_zero is None:
-        m_zero = u.marginal_energy(shares, zeros, gains, link)
+        m_zero = energy_marginal(zeros)
     active = (shares > 0) & (gains > 0) & (m_zero > multiplier)
     if not active.any():
         return zeros
 
     def marginal(energy):
-        return u.marginal_energy(shares, np.where(active, energy, 0.0), gains, link)
+        return energy_marginal(np.where(active, energy, 0.0))
 
     s_hi = _widen(lambda s: active & (marginal(s) >= multiplier), np.ones((n, nu)), 2.0, 120,
                   ConvergenceError("energy bracket not found in 120 doublings"))
@@ -358,8 +366,14 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
     The training multipliers stay fixed; per-frame shares and energies are
     re-solved against them by alternating the two block updates, which is
     coordinate ascent on each frame's multiplier-penalized utility, for at
-    most ``max_rounds`` rounds.  Training stops on its own objective
+    most ``max_rounds`` rounds, stopping once no frame's shares and energies
+    move by more than ``tol``.  Training stops on its own objective
     threshold, so a training sample's result can differ from its stored one.
+
+    Both block updates act on each frame alone, so a frame whose round
+    reproduces its shares and energies bit for bit is at a fixed point:
+    it is frozen and later rounds re-solve only the frames still moving.
+    The result equals re-solving every frame in every round.
 
     ``frame_gains`` may be one frame (N,) or a batch (n_frames, N); the
     result matches the input's shape.
@@ -374,13 +388,20 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
 
     shares = np.full((n, nu), 1.0 / nu)
     energies = _waterfill_energies(u, g, shares, link, lam)
+    live = np.arange(n)
     for _ in range(max_rounds):
-        new_shares = update_shares(g, energies, u, link)
-        new_energies = _waterfill_energies(u, g, new_shares, link, lam)
-        drift = np.abs(new_shares - shares).max() + np.abs(new_energies - energies).max()
-        shares, energies = new_shares, new_energies
+        if not live.size:
+            break
+        gains, old_shares, old_energies = g[live], shares[live], energies[live]
+        new_shares = update_shares(gains, old_energies, u, link)
+        new_energies = _waterfill_energies(u, gains, new_shares, link, lam)
+        # frozen frames would add exactly 0 to each term
+        drift = np.abs(new_shares - old_shares).max() + np.abs(new_energies - old_energies).max()
+        shares[live], energies[live] = new_shares, new_energies
         if drift <= tol:
             break
+        moved = (new_shares != old_shares).any(axis=1) | (new_energies != old_energies).any(axis=1)
+        live = live[moved]
     if single:
         return shares[0], energies[0]
     return shares, energies

@@ -84,15 +84,31 @@ class Utility(ABC):
         Zero-share entries must carry zero energy (energy with no transmit
         time is undefined); gain 0 gives marginal 0.
         """
+        return self.energy_marginal(share, gain, link)(energy)
+
+    def energy_marginal(self, share, gain, link: LinkBudget):
+        """``marginal_energy`` at this share and gain, as a function of energy.
+
+        What does not depend on the energy is computed once, so a solve that
+        varies only the energy pays for its terms alone.
+        """
         share = np.asarray(share, dtype=float)
-        energy = np.asarray(energy, dtype=float)
-        if np.any((share == 0) & (energy > 0)):
-            raise ValueError("energy > 0 with share == 0 is undefined")
         snr = np.asarray(gain, dtype=float) / link.effective_noise
-        x = per_share(energy * snr, share)
-        rate = share * np.log1p(x) / LN2
-        out = np.where(share > 0, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
-        return out if out.ndim else float(out)
+        zero = share == 0
+        any_zero = zero.any()
+        live = share > 0
+        divisor = np.where(live, share, 1.0)
+
+        def marginal(energy):
+            energy = np.asarray(energy, dtype=float)
+            if any_zero and (zero & (energy > 0)).any():
+                raise ValueError("energy > 0 with share == 0 is undefined")
+            x = np.where(live, energy * snr / divisor, 0.0)
+            rate = share * np.log1p(x) / LN2
+            out = np.where(live, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
+            return out if out.ndim else float(out)
+
+        return marginal
 
     def marginal_share_with_energy(self, share, energy, gain, link: LinkBudget):
         """d/d(share) of value_with_energy at fixed energy.
@@ -100,22 +116,31 @@ class Utility(ABC):
         At share == 0 this returns the one-sided limit: +inf when the user
         has energy and gain to spend (any sliver of time helps), else 0.
         """
-        share = np.asarray(share, dtype=float)
-        if np.any(share < 0):
-            raise ValueError("share must be >= 0")
+        return self.share_marginal(energy, gain, link)(share)
+
+    def share_marginal(self, energy, gain, link: LinkBudget):
+        """``marginal_share_with_energy`` at this energy and gain, as a
+        function of share; what does not depend on the share is computed once."""
         snr = np.multiply(energy, gain) / link.effective_noise
-        x = per_share(snr, share)
-        full = np.log1p(x) / LN2
-        rate = share * full
-        out = self.derivative(rate) * (full - x / (LN2 * (1.0 + x)))
-        out = np.where(share > 0, out, np.where(snr > 0, np.inf, 0.0))
-        return out if out.ndim else float(out)
+        edge = np.where(snr > 0, np.inf, 0.0)
+
+        def marginal(share):
+            share = np.asarray(share, dtype=float)
+            if (share < 0).any():
+                raise ValueError("share must be >= 0")
+            x = per_share(snr, share)
+            full = np.log1p(x) / LN2
+            rate = share * full
+            out = self.derivative(rate) * (full - x / (LN2 * (1.0 + x)))
+            out = np.where(share > 0, out, edge)
+            return out if out.ndim else float(out)
+
+        return marginal
 
 
 def per_share(value, share):
-    """``value / share``, and 0 where the share is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(share > 0, value / np.where(share > 0, share, 1.0), 0.0)
+    """``value / share``, and 0 where the share is 0 (never a division by 0)."""
+    return np.where(share > 0, value / np.where(share > 0, share, 1.0), 0.0)
 
 
 def _rate_from_energy(share, energy, gain, link: LinkBudget):

@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from utilsched import LinkBudget, LogUtility, Utility
+from utilsched.channel import LN2
 from utilsched.oracles import central_difference
+from utilsched.utility import as_utility, per_share
 
 
 class ScaledLog(Utility):
@@ -177,3 +179,89 @@ class TestEnergyForm:
                 u.value_with_energy(rho + t * h * d[0], s + t * h * d[1], g, self.link)
             )
             assert f(1) + f(-1) - 2 * f(0) <= 1e-8
+
+
+def _reference_marginal_energy(u, share, energy, gain, link):
+    """The energy marginal written out in one piece, in the solver's operation order."""
+    snr = np.asarray(gain, dtype=float) / link.effective_noise
+    x = per_share(energy * snr, share)
+    rate = share * np.log1p(x) / LN2
+    return np.where(share > 0, u.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
+
+
+def _reference_marginal_share(u, share, energy, gain, link):
+    snr = np.multiply(energy, gain) / link.effective_noise
+    x = per_share(snr, share)
+    full = np.log1p(x) / LN2
+    out = u.derivative(share * full) * (full - x / (LN2 * (1.0 + x)))
+    return np.where(share > 0, out, np.where(snr > 0, np.inf, 0.0))
+
+
+class TestHoistedMarginals:
+    """``energy_marginal``/``share_marginal`` return the marginals bit for bit."""
+
+    link = LinkBudget(snr_gap_db=3.0)
+    UTILITIES = {
+        "scalar": LogUtility(0.3),
+        "per-user": LogUtility(np.array([0.1, 1.0, 5.0])),
+        "columns": as_utility([LogUtility(0.2), ScaledLog(1.0), LogUtility(4.0)], 3),
+    }
+
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(5)
+        shares = rng.uniform(0.0, 1.0, (40, 3))
+        gains = rng.exponential(2.0, (40, 3))
+        energies = rng.exponential(1.0, (40, 3))
+        shares[::4, 0] = 0.0
+        gains[::5, 1] = 0.0
+        energies[::3, 2] = 0.0
+        energies[shares == 0] = 0.0
+        return shares, gains, energies
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_energy_marginal_bits(self, name):
+        u = self.UTILITIES[name]
+        shares, gains, energies = self._grid()
+        at = u.energy_marginal(shares, gains, self.link)
+        for scale in (0.0, 0.5, 1.0, 7.0):  # one function, many energies
+            energy = energies * scale
+            direct = u.marginal_energy(shares, energy, gains, self.link)
+            assert np.array_equal(at(energy), direct)
+            assert np.array_equal(direct, _reference_marginal_energy(u, shares, energy, gains, self.link))
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_share_marginal_bits(self, name):
+        u = self.UTILITIES[name]
+        shares, gains, energies = self._grid()
+        at = u.share_marginal(energies, gains, self.link)
+        for share in (shares, shares[::-1], np.zeros_like(shares), np.ones_like(shares)):
+            direct = u.marginal_share_with_energy(share, energies, gains, self.link)
+            assert np.array_equal(at(share), direct)
+            assert np.array_equal(direct, _reference_marginal_share(u, share, energies, gains, self.link))
+
+    def test_scalars_stay_floats(self):
+        u = LogUtility(0.5)
+        value = u.energy_marginal(0.4, 2.0, self.link)(1.0)
+        assert type(value) is float and value == u.marginal_energy(0.4, 1.0, 2.0, self.link)
+        value = u.share_marginal(1.0, 2.0, self.link)(0.4)
+        assert type(value) is float and value == u.marginal_share_with_energy(0.4, 1.0, 2.0, self.link)
+        assert u.energy_marginal(0.4, 0.0, self.link)(1.0) == 0.0
+        assert np.isinf(u.share_marginal(1.0, 2.0, self.link)(0.0))
+        assert u.share_marginal(0.0, 2.0, self.link)(0.0) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_invalid_arguments_raise(self, name):
+        u = self.UTILITIES[name]
+        shares, gains, energies = self._grid()
+        energy = energies + 1.0  # energy on the zero shares
+        with pytest.raises(ValueError, match="share == 0"):
+            u.energy_marginal(shares, gains, self.link)(energy)
+        with pytest.raises(ValueError, match="share == 0"):
+            u.marginal_energy(shares, energy, gains, self.link)
+        negative = shares.copy()
+        negative[3, 1] = -0.25
+        with pytest.raises(ValueError, match="share must be >= 0"):
+            u.share_marginal(energies, gains, self.link)(negative)
+        with pytest.raises(ValueError, match="share must be >= 0"):
+            u.marginal_share_with_energy(negative, energies, gains, self.link)
