@@ -233,6 +233,8 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     ------
     InvariantError
         If a policy returns a frame whose shares do not sum to 1.
+    FloatingPointError
+        If a statistic is not finite (for example when gains overflow).
     """
     link = config.link()
     model = config.channel()
@@ -263,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     mean_rate = rate_sum / frames
     variance = np.maximum(rate_sq_sum / frames - mean_rate**2, 0.0)
     mean_utility = util_sum / frames
-    return SimStats(
+    stats = SimStats(
         taur=float(mean_utility.sum()),
         mean_rate=mean_rate,
         rate_std=np.sqrt(variance),
@@ -272,6 +274,12 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
         n_frames=frames,
         degenerate_frames=degenerate,
     )
+    bad = [name for name in ("taur", "mean_rate", "rate_std", "mean_utility")
+           if not np.all(np.isfinite(getattr(stats, name)))]
+    if bad:
+        # the CLI writes this message into a CSV cell that it does not quote
+        raise FloatingPointError(f"non-finite {' '.join(bad)} from {config!r}".replace(", ", " "))
+    return stats
 
 
 @dataclass

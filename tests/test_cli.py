@@ -114,6 +114,18 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert "failed" in err or "numeric" in err
 
+    def test_non_finite_statistics_exit_3(self, tmp_path, capsys):
+        # mean gains near 1e308 overflow the rates to inf and the rates times
+        # shares to NaN; the run must fail instead of writing NaN statistics
+        status = main(["ts-sweep", "--mean-snr-db", "3080", "--frames", "10", "--output", str(tmp_path)])
+        assert status == 3
+        header, rows = read_csv(tmp_path / "ts_sweep.csv")
+        assert len(rows) == 1 and rows[0]["taur"] == ""
+        assert (tmp_path / "ts_sweep.csv").read_text().splitlines()[1].count(",") == len(header) - 1
+        assert rows[0]["error"].startswith("FloatingPointError: non-finite taur")
+        assert "mean_snr_db=3080.0" in rows[0]["error"]
+        assert "sweep point failed" in capsys.readouterr().err
+
     def test_snr_axis_sweep(self, tmp_path):
         status = main([
             "ts-sweep", "--users", "2", "--mean-snr-db", "0,5,10,15,20,25,30",
