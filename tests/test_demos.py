@@ -1,9 +1,4 @@
-"""Smoke test: the demos run to completion and print their walk-through.
-
-``demos/03_joint_power_control.py`` is left out: it spends about 23 s
-training and applying joint power-control policies, whose nested
-bisections wait on ROADMAP item 3.
-"""
+"""Smoke test: the demos run to completion and print their walk-through."""
 
 import os
 import subprocess
@@ -19,6 +14,7 @@ SRC = DEMOS.parent / "src"
 @pytest.mark.parametrize("name", [
     "01_time_sharing_basics.py",
     "02_rate_oscillation_tradeoff.py",
+    "03_joint_power_control.py",
     "04_limited_feedback.py",
     "05_fairness_adaptation.py",
 ])
