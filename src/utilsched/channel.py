@@ -2,11 +2,16 @@
 
 Gains are exponentially distributed channel power gains (Rayleigh amplitude
 fading), drawn independently per user and per frame.  Sampling is counter
-based: the random stream for frame ``t`` is keyed by ``(seed, t)``, so any
-frame can be regenerated in isolation and results do not depend on
-evaluation order.
+based: the random stream for frame ``t`` is the Philox stream keyed by
+``seed`` from counter ``[0, 0, t, 0]``, so any frame can be regenerated in
+isolation and results depend only on ``(seed, t)``, never on evaluation
+order or on which thread draws them.  Each thread keeps one Philox generator
+and resets it to the frame's counter before each draw; it builds a new one
+only when the seed changes.
 """
 
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,16 +114,50 @@ class ChannelModel:
         return cls(snr * link.noise_power / link.transmit_power)
 
 
+class _FrameStream(threading.local):
+    """This thread's Philox generator and the state it is reset to per frame."""
+
+    def __init__(self):
+        self.seed = self.bit_gen = self.state = self.rng = None
+
+    def at_frame(self, seed, frame_index: int):
+        if self.rng is None or seed != self.seed:
+            bit_gen = np.random.Philox(key=seed)  # ValueError for a bad seed
+            # a fresh generator's state: counter 0, empty buffer (buffer_pos 4),
+            # no cached 32-bit half (has_uint32 0, uinteger 0)
+            self.seed, self.bit_gen, self.state = seed, bit_gen, bit_gen.state
+            self.rng = np.random.Generator(bit_gen)
+        self.state["state"]["counter"][2] = frame_index
+        self.bit_gen.state = self.state
+        return self.rng
+
+
+_streams = _FrameStream()
+
+
 def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray:
     """Draw one frame of per-user gains, reproducible from (seed, frame_index).
 
-    Uses a Philox counter keyed by ``seed`` with the frame index in a high
-    counter word, so each frame owns a disjoint stream regardless of how many
-    draws it consumes.
+    The draw is the stream of a Philox generator keyed by ``seed`` from
+    counter ``[0, 0, frame_index, 0]``, so each frame owns a disjoint stream
+    regardless of how many draws it consumes.  The calling thread's generator
+    is reset to that counter, so the result depends only on the two
+    arguments: not on earlier calls, nor on other threads.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` is not a valid Philox key (an integer in 0..2**128 - 1),
+        or ``frame_index`` is not an integer in 0..2**64 - 1.
     """
-    bit_gen = np.random.Philox(key=seed, counter=[0, 0, frame_index, 0])
-    rng = np.random.Generator(bit_gen)
-    return rng.exponential(model.mean_gains)
+    try:
+        t = operator.index(frame_index)
+    except TypeError:
+        raise ValueError(f"frame_index must be an integer, got {frame_index!r}") from None
+    if not 0 <= t < 2**64:
+        raise ValueError(f"frame_index must lie in 0..2**64 - 1, got {t}")
+    # numpy's exponential(scale) is scale * standard_exponential(), drawn in order
+    return _streams.at_frame(seed, t).standard_exponential(model.n_users) * model.mean_gains
 
 
 def equal_prob_thresholds(mean_gain: float, n_states: int) -> np.ndarray:

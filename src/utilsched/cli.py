@@ -24,8 +24,10 @@ mismatch, 2 invalid config, 3 numeric failure.
 """
 
 import argparse
+import csv
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import os
@@ -160,7 +162,11 @@ class RunManifest:
 
 
 def _emit(out_dir: Path, tag: str, command: str, config: dict, header, rows):
-    data = "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+    # a cell holding a comma (an error message, say) is quoted; the rest is
+    # written as a plain comma join, one "\n"-terminated line per row
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    data = text.getvalue().encode()
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{tag}.csv"
     csv_path.write_bytes(data)

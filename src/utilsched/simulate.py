@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
 from .errors import NUMERIC_ERRORS, InvariantError
-from .gradsched import GradientSchedulerState, select_user, update_state
+from .gradsched import GradientSchedulerState, _schedule_frames
 from .powercontrol import apply_policy, solve_uplink, transmit_powers
 from .quantized import QuantizedScheduler
 from .timeshare import allocate_ts
@@ -171,14 +171,12 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
     n = config.n_users
 
     if config.policy == "gs":
-        state = GradientSchedulerState.initial(n, config.smoothing, config.initial_avg_rate)
+        avg = GradientSchedulerState.initial(n, config.smoothing, config.initial_avg_rate).avg_rates
         for frames in _frame_blocks(config.n_frames):
             rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
+            chosen, avg = _schedule_frames(avg, config.smoothing, rates, utility)
             shares = np.zeros_like(rates)
-            for i, frame_rates in enumerate(rates):
-                chosen = select_user(state, frame_rates, utility)
-                shares[i, chosen] = 1.0
-                state = update_state(state, chosen, frame_rates[chosen])
+            shares[np.arange(len(rates)), chosen] = 1.0
             yield shares, rates
         return
 
@@ -277,7 +275,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     bad = [name for name in ("taur", "mean_rate", "rate_std", "mean_utility")
            if not np.all(np.isfinite(getattr(stats, name)))]
     if bad:
-        # the CLI writes this message into a CSV cell that it does not quote
+        # without commas, the CSV cell that the CLI writes this message into needs no quotes
         raise FloatingPointError(f"non-finite {' '.join(bad)} from {config!r}".replace(", ", " "))
     return stats
 

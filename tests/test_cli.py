@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from utilsched import DegenerateBudgetError, simulate
 from utilsched.cli import (
     FAIRNESS_KEYS,
     KEY_TYPES,
@@ -125,6 +127,26 @@ class TestSweepCommands:
         assert rows[0]["error"].startswith("FloatingPointError: non-finite taur")
         assert "mean_snr_db=3080.0" in rows[0]["error"]
         assert "sweep point failed" in capsys.readouterr().err
+
+    def test_error_with_commas_is_one_cell(self, tmp_path, monkeypatch):
+        message = "users [0, 1] cannot meet their budgets, first frame 3"
+        run = simulate.run_experiment
+
+        def failing(config):
+            if config.n_users == 3:
+                raise DegenerateBudgetError(message)
+            return run(config)
+
+        monkeypatch.setattr(simulate, "run_experiment", failing)
+        status = main(["ts-sweep", "--users", "2,3", "--frames", "20", "--output", str(tmp_path)])
+        assert status == 3
+        with open(tmp_path / "ts_sweep.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [len(header)] * 2
+        ok, failed = (dict(zip(header, row)) for row in rows)
+        assert ok["error"] == "" and float(ok["taur"]) > 0
+        assert failed["error"] == f"DegenerateBudgetError: {message}"
+        assert failed["taur"] == "" and failed["users"] == "3"
 
     def test_snr_axis_sweep(self, tmp_path):
         status = main([

@@ -12,6 +12,10 @@ from utilsched import (
     select_user,
     update_state,
 )
+from utilsched.gradsched import _schedule_frames
+from utilsched.simulate import BLOCK_FRAMES
+
+from test_utility import ScaledLog
 
 
 class TestState:
@@ -110,3 +114,58 @@ class TestLongRunFairness:
         p = 1.0 / n
         se = np.sqrt(p * (1 - p) * frames)
         assert np.all(np.abs(counts - p * frames) <= 3 * se)
+
+
+def public_loop(state, rates, utilities):
+    """The per-frame recursion through the public functions."""
+    chosen = []
+    for frame_rates in rates:
+        k = select_user(state, frame_rates, utilities)
+        state = update_state(state, k, frame_rates[k])
+        chosen.append(k)
+    return np.array(chosen), state.avg_rates
+
+
+class TestScheduleFrames:
+    """The array recursion that ``run_experiment`` runs equals the public loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1])
+    def test_equals_public_loop(self, n, frames):
+        rng = np.random.default_rng(100 * n + frames)
+        rates = rng.exponential(2.0, size=(frames, n))
+        rates[rng.random(rates.shape) < 0.05] = 0.0
+        for utilities in (LogUtility(0.1), LogUtility(rng.uniform(0.1, 10.0, n)),
+                          [ScaledLog(a) for a in rng.uniform(0.1, 10.0, n)]):
+            state = GradientSchedulerState(rng.uniform(0.0, 1.0, n), smoothing=0.01)
+            start = state.avg_rates.copy()
+            chosen, avg = _schedule_frames(state.avg_rates, state.smoothing, rates, utilities)
+            expected_chosen, expected_avg = public_loop(state, rates, utilities)
+            assert np.array_equal(chosen, expected_chosen)
+            assert np.array_equal(avg, expected_avg)
+            assert np.array_equal(state.avg_rates, start)  # the input averages are left as they were
+
+    def test_tied_scores_go_to_lowest_index(self):
+        # equal averages and equal rates tie every user in every frame until
+        # the averages part; all-zero frames tie at score 0
+        rates = np.vstack([np.full((20, 4), 2.0), np.zeros((5, 4)), np.full((20, 4), 2.0)])
+        state = GradientSchedulerState.initial(4, smoothing=0.25)
+        chosen, avg = _schedule_frames(state.avg_rates, state.smoothing, rates, LogUtility(1.0))
+        expected_chosen, expected_avg = public_loop(state, rates, LogUtility(1.0))
+        assert chosen[0] == 0
+        assert np.array_equal(chosen, expected_chosen)
+        assert np.array_equal(avg, expected_avg)
+
+    def test_blocks_chained_equal_one_pass(self):
+        # run_experiment carries the averages from one block to the next
+        rng = np.random.default_rng(5)
+        rates = rng.exponential(1.0, size=(2 * BLOCK_FRAMES + 3, 3))
+        state = GradientSchedulerState.initial(3, smoothing=0.05, initial_rate=0.5)
+        avg, chosen = state.avg_rates, []
+        for start in range(0, len(rates), BLOCK_FRAMES):
+            block = rates[start : start + BLOCK_FRAMES]
+            block_chosen, avg = _schedule_frames(avg, state.smoothing, block, LogUtility(0.3))
+            chosen.append(block_chosen)
+        expected_chosen, expected_avg = public_loop(state, rates, LogUtility(0.3))
+        assert np.array_equal(np.concatenate(chosen), expected_chosen)
+        assert np.array_equal(avg, expected_avg)
