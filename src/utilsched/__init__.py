@@ -19,7 +19,7 @@ from .channel import (
     sample_gains,
 )
 from .errors import ConvergenceError, DegenerateBudgetError, InvariantError
-from .fairness import FairnessReport, adapt_weights, average_utilities, weighted_allocate
+from .fairness import FairnessReport, adapt_weights, average_utilities
 from .gradsched import GradientSchedulerState, select_user, update_state
 from .powercontrol import (
     IterationTrace,
@@ -52,7 +52,6 @@ __all__ = [
     "FairnessReport",
     "adapt_weights",
     "average_utilities",
-    "weighted_allocate",
     "GradientSchedulerState",
     "select_user",
     "update_state",

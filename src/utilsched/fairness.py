@@ -21,7 +21,7 @@ from .errors import ConfigError, ConvergenceError
 from .timeshare import allocate_ts
 from .utility import as_utility
 
-__all__ = ["FairnessReport", "weighted_allocate", "average_utilities", "adapt_weights"]
+__all__ = ["FairnessReport", "average_utilities", "adapt_weights"]
 
 
 @dataclass
@@ -34,30 +34,16 @@ class FairnessReport:
     iterations: int
 
 
-def weighted_allocate(peak_rates, utilities, weights):
-    """Per-frame maximizer of sum_i w_i U_i(share_i * peak_rate_i).
-
-    Identical machinery to the unweighted allocator with every user's
-    marginal scaled by its weight; a zero-weight user never receives share
-    while any positively weighted user has a positive rate.  ``peak_rates``
-    is one frame (N,) or a batch (T, N), as for ``allocate_ts``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    return allocate_ts(peak_rates, utilities, weights=weights)
-
-
 def average_utilities(peak_rate_samples, utilities, weights) -> np.ndarray:
     """Mean per-user utility under weighted allocation over a sample set.
 
-    The weights shape the allocation only; the reported utilities are
-    unweighted.
+    The weights shape the allocation only, and only up to a common scale;
+    the reported utilities are unweighted.
     """
     samples = np.asarray(peak_rate_samples, dtype=float)
     n, nu = samples.shape
     u = as_utility(utilities, nu)
-    shares, _ = weighted_allocate(samples, u, weights)
+    shares, _ = allocate_ts(samples, u, weights=weights)
     # add the samples in order, as a per-sample loop would
     return np.cumsum(u.value(shares * samples), axis=0)[-1] / n
 

@@ -57,11 +57,9 @@ ENERGY_BISECT = 56
 
 @dataclass
 class IterationTrace:
-    """Objective values per Gauss-Seidel iteration plus the stop threshold."""
+    """Objective values per Gauss-Seidel iteration."""
 
     objectives: list = field(default_factory=list)
-    threshold: float = 1e-6
-    converged: bool = False
 
     @property
     def iterations(self) -> int:
@@ -86,12 +84,7 @@ class PowerPolicy:
 
     def powers(self) -> np.ndarray:
         """Per-sample transmit powers energy/share, 0 where the share is 0."""
-        return transmit_powers(self.shares, self.energies)
-
-
-def transmit_powers(shares, energies) -> np.ndarray:
-    """Transmit powers energy/share, 0 where the share is 0."""
-    return per_share(energies, shares)
+        return per_share(self.energies, self.shares)
 
 
 def _bisect(rises, lo, hi, steps):
@@ -304,13 +297,12 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     shares = np.full((n, nu), 1.0 / nu)
     energies = np.tile(per_user, (n, 1))
     multipliers = None
-    trace = IterationTrace(threshold=threshold)
+    trace = IterationTrace()
 
     for _ in range(max_iterations):
         shares = update_shares(gains, energies, u, link)
         trace.objectives.append(sample_objective(gains, shares, energies, u, link))
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
-            trace.converged = True
             break
         energies, multipliers = update(gains, shares, u, budgets, link)
     else:

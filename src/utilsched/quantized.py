@@ -25,6 +25,8 @@ __all__ = ["bin_expected_utility", "QuantizedScheduler", "slot_compositions"]
 
 QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
+EXHAUSTIVE_MAX_USERS = 4
+EXHAUSTIVE_MAX_SLOTS = 6
 
 
 @lru_cache(maxsize=1)
@@ -154,14 +156,14 @@ class QuantizedScheduler:
         counts = np.sum(picks[..., None] // self.n_slots == np.arange(self.n_users), axis=1)
         return counts.reshape(states.shape)
 
-    def exhaustive_allocate(self, states, max_users: int = 4, max_slots: int = 6) -> np.ndarray:
+    def exhaustive_allocate(self, states) -> np.ndarray:
         """Enumerate every slot split and return the best (ties: first in
         lexicographic order).  Refuses instances above the enumeration cap."""
         states = self._check_states(states)
-        if self.n_users > max_users or self.n_slots > max_slots:
+        if self.n_users > EXHAUSTIVE_MAX_USERS or self.n_slots > EXHAUSTIVE_MAX_SLOTS:
             raise ValueError(
                 f"instance ({self.n_users} users, {self.n_slots} slots) exceeds "
-                f"enumeration cap ({max_users}, {max_slots})"
+                f"enumeration cap ({EXHAUSTIVE_MAX_USERS}, {EXHAUSTIVE_MAX_SLOTS})"
             )
         best_counts = None
         best_value = -np.inf

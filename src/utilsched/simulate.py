@@ -24,11 +24,11 @@ import numpy as np
 
 from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
 from .errors import NUMERIC_ERRORS, InvariantError
-from .gradsched import GradientSchedulerState, _schedule_frames
-from .powercontrol import apply_policy, solve_uplink, transmit_powers
+from .gradsched import _schedule_frames
+from .powercontrol import apply_policy, solve_uplink
 from .quantized import QuantizedScheduler
 from .timeshare import allocate_ts
-from .utility import LogUtility
+from .utility import LogUtility, per_share
 
 __all__ = ["ExperimentConfig", "SimStats", "SweepEntry", "run_experiment", "sweep"]
 
@@ -81,7 +81,6 @@ class ExperimentConfig:
     seed: int = _key(0)
     training_samples: int = _key(10_000)
     max_iterations: int = _key(100, column=False)
-    initial_avg_rate: float = 0.0
     # weighted time sharing
     weights: object = None
 
@@ -171,7 +170,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
     n = config.n_users
 
     if config.policy == "gs":
-        avg = GradientSchedulerState.initial(n, config.smoothing, config.initial_avg_rate).avg_rates
+        avg = np.zeros(n)
         for frames in _frame_blocks(config.n_frames):
             rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
             chosen, avg = _schedule_frames(avg, config.smoothing, rates, utility)
@@ -191,7 +190,7 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
         )
         all_gains = _block_gains(model, config.seed, range(config.n_frames))
         all_shares, all_energies = apply_policy(policy, all_gains, utility, link)
-        all_rates = achievable_rate(all_gains, transmit_powers(all_shares, all_energies), link)
+        all_rates = achievable_rate(all_gains, per_share(all_energies, all_shares), link)
         for frames in _frame_blocks(config.n_frames):
             yield all_shares[frames.start : frames.stop], all_rates[frames.start : frames.stop]
         return
@@ -275,8 +274,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     bad = [name for name in ("taur", "mean_rate", "rate_std", "mean_utility")
            if not np.all(np.isfinite(getattr(stats, name)))]
     if bad:
-        # without commas, the CSV cell that the CLI writes this message into needs no quotes
-        raise FloatingPointError(f"non-finite {' '.join(bad)} from {config!r}".replace(", ", " "))
+        raise FloatingPointError(f"non-finite {' '.join(bad)} from {config!r}")
     return stats
 
 

@@ -62,15 +62,17 @@ class Utility(ABC):
         Returns 0 when ``peak_rate`` is 0 or when the marginal at zero share
         already falls below ``multiplier``.
         """
-        if np.any(np.asarray(multiplier) <= 0):
+        multiplier = np.asarray(multiplier, dtype=float)
+        if np.any(multiplier <= 0):
             raise ValueError("multiplier must be > 0")
-        shape = np.broadcast(np.asarray(peak_rate), np.asarray(multiplier)).shape
-        pr = np.atleast_1d(np.broadcast_to(np.asarray(peak_rate, dtype=float), shape))
-        mult = np.atleast_1d(np.broadcast_to(np.asarray(multiplier, dtype=float), shape))
-        out = np.zeros(pr.shape)
-        active = (pr > 0) & (self.derivative(0.0) * pr > mult)
-        out[active] = self.inverse_derivative(mult[active] / pr[active]) / pr[active]
-        return out.reshape(shape) if shape else float(out[0])
+        peak_rate = np.asarray(peak_rate, dtype=float)
+        zero_slope = self.derivative(0.0)
+        active = (peak_rate > 0) & (zero_slope * peak_rate > multiplier)
+        # inactive entries invert U'(0), a slope that every utility accepts
+        divisor = np.where(active, peak_rate, 1.0)
+        rate = self.inverse_derivative(np.where(active, multiplier / divisor, zero_slope))
+        out = np.where(active, np.maximum(rate / divisor, 0.0), 0.0)
+        return out if out.ndim else float(out)
 
     # -- energy form ------------------------------------------------------
 
@@ -180,18 +182,6 @@ class LogUtility(Utility):
     def inverse_derivative(self, slope):
         return 1.0 / np.asarray(slope, dtype=float) - self.concavity
 
-    def inverse_marginal_share(self, peak_rate, multiplier):
-        # closed form [1/multiplier - concavity/peak_rate]^+, 0 when rate is 0
-        if np.any(np.asarray(multiplier) <= 0):
-            raise ValueError("multiplier must be > 0")
-        peak_rate = np.asarray(peak_rate, dtype=float)
-        with np.errstate(divide="ignore"):
-            raw = 1.0 / np.asarray(multiplier, dtype=float) - np.where(
-                peak_rate > 0, self.concavity / np.where(peak_rate > 0, peak_rate, 1.0), np.inf
-            )
-        out = np.maximum(raw, 0.0)
-        return out if out.ndim else float(out)
-
 
 class _PerUserColumns(Utility):
     """Per-user utilities of any type, user j acting on column j of the last axis."""
@@ -214,9 +204,6 @@ class _PerUserColumns(Utility):
 
     def inverse_derivative(self, slope):
         return self._columns("inverse_derivative", slope)
-
-    def inverse_marginal_share(self, peak_rate, multiplier):
-        return self._columns("inverse_marginal_share", peak_rate, multiplier)
 
     def for_user(self, j: int) -> Utility:
         return self.utilities[j]

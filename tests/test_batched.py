@@ -95,7 +95,7 @@ def reference_frames(config):
     """(shares, rates) of each frame, one policy decision per frame."""
     link, model, utility = config.link(), config.channel(), config.utilities()
     n = config.n_users
-    state = GradientSchedulerState.initial(n, config.smoothing, config.initial_avg_rate)
+    state = GradientSchedulerState.initial(n, config.smoothing)
     if config.policy == "qtsl":
         quantizers = [Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains]
         scheduler = QuantizedScheduler(

@@ -24,10 +24,9 @@ README = Path(__file__).parent.parent / "README.md"
 
 
 def read_csv(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return header, rows
+    with open(path, newline="") as f:
+        header, *lines = csv.reader(f)
+    return header, [dict(zip(header, line)) for line in lines]
 
 
 class TestConfigFile:
@@ -121,11 +120,13 @@ class TestSweepCommands:
         # shares to NaN; the run must fail instead of writing NaN statistics
         status = main(["ts-sweep", "--mean-snr-db", "3080", "--frames", "10", "--output", str(tmp_path)])
         assert status == 3
-        header, rows = read_csv(tmp_path / "ts_sweep.csv")
-        assert len(rows) == 1 and rows[0]["taur"] == ""
-        assert (tmp_path / "ts_sweep.csv").read_text().splitlines()[1].count(",") == len(header) - 1
-        assert rows[0]["error"].startswith("FloatingPointError: non-finite taur")
-        assert "mean_snr_db=3080.0" in rows[0]["error"]
+        with open(tmp_path / "ts_sweep.csv", newline="") as f:
+            header, cells = csv.reader(f)
+        assert len(cells) == len(header)
+        row = dict(zip(header, cells))
+        assert row["taur"] == ""
+        assert row["error"].startswith("FloatingPointError: non-finite taur")
+        assert "mean_snr_db=3080.0, " in row["error"]
         assert "sweep point failed" in capsys.readouterr().err
 
     def test_error_with_commas_is_one_cell(self, tmp_path, monkeypatch):

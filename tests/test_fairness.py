@@ -13,7 +13,6 @@ from utilsched import (
     allocate_ts,
     average_utilities,
     sample_gains,
-    weighted_allocate,
 )
 from utilsched.oracles import grid_search_shares
 
@@ -34,11 +33,11 @@ class TestWeightedAllocate:
             rates = rng.uniform(0.1, 5.0, size=n)
             utils = [LogUtility(rng.uniform(0.05, 3.0)) for _ in range(n)]
             base, _ = allocate_ts(rates, utils)
-            weighted, _ = weighted_allocate(rates, utils, np.full(n, 1.0 / n))
+            weighted, _ = allocate_ts(rates, utils, weights=np.full(n, 1.0 / n))
             assert_allclose(weighted, base, atol=1e-12)
 
     def test_zero_weight_user_gets_nothing(self):
-        shares, _ = weighted_allocate([2.0, 3.0], LogUtility(0.1), [1.0, 0.0])
+        shares, _ = allocate_ts([2.0, 3.0], LogUtility(0.1), weights=[1.0, 0.0])
         assert_allclose(shares, [1.0, 0.0])
 
     def test_matches_grid_oracle(self):
@@ -48,14 +47,18 @@ class TestWeightedAllocate:
             utils = [LogUtility(rng.uniform(0.05, 3.0)) for _ in range(2)]
             w = rng.uniform(0.1, 1.0, size=2)
             w /= w.sum()
-            shares, _ = weighted_allocate(rates, utils, w)
+            shares, _ = allocate_ts(rates, utils, weights=w)
             value = aggregate_utility(shares, rates, utils, weights=w)
             _, grid_value = grid_search_shares(rates, utils, step=1e-3, weights=w)
             assert value >= grid_value - 1e-6
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            weighted_allocate([1.0, 2.0], LogUtility(0.1), [0.9, 0.9])
+    def test_average_utilities_ignore_weight_scale(self):
+        rates = rate_samples([0.0, 10.0, 5.0], 300, seed=4)
+        u = LogUtility(np.array([0.1, 1.0, 10.0]))
+        w = np.array([0.5, 0.2, 0.3])
+        unit = average_utilities(rates, u, w)
+        for scale in (3.0, 1e-3):
+            assert_allclose(average_utilities(rates, u, scale * w), unit, rtol=1e-12, atol=0)
 
 
 class TestAdaptWeights:
@@ -119,7 +122,7 @@ class TestAdaptWeights:
         weights, _ = adapt_weights(model, u, LINK, tolerance=1e-3, n_samples=n_samples, seed=seed)
         rates = rate_samples(snr, n_samples, seed)
 
-        shares = np.stack([weighted_allocate(r, u, weights)[0] for r in rates])
+        shares = np.stack([allocate_ts(r, u, weights=weights)[0] for r in rates])
         base = np.array(
             [u.value(shares[:, j] * rates[:, j]).mean() for j in range(2)]
         )

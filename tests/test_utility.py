@@ -103,18 +103,21 @@ class TestInverseMarginalShare:
             assert abs(u.inverse_marginal_share(c, lam) - rho) <= 1e-10
 
     def test_generic_base_matches_log_closed_form(self):
-        # ScaledLog with scale 1 is the same function through the generic path
+        # U = ln(1 + r/A) has the share [1/lam - A/c]^+ in closed form, and
+        # ScaledLog with scale 1 is the same function; both take the generic path
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            a = rng.uniform(0.05, 5.0)
-            log_u, gen_u = LogUtility(a), ScaledLog(a, scale=1.0)
-            c = rng.uniform(0.1, 8.0)
-            lam = rng.uniform(0.05, 30.0)
-            assert_allclose(
-                gen_u.inverse_marginal_share(c, lam),
-                log_u.inverse_marginal_share(c, lam),
-                atol=1e-12,
-            )
+        a = rng.uniform(0.05, 5.0, 1000)
+        c = rng.uniform(0.1, 8.0, 1000)
+        zero_marginal = c / a
+        for u in (LogUtility(a), ScaledLog(a, scale=1.0)):
+            for lam in (rng.uniform(0.05, 30.0, 1000), zero_marginal):
+                shares = u.inverse_marginal_share(c, lam)
+                assert_allclose(shares, np.maximum(1.0 / lam - a / c, 0.0), rtol=0, atol=1e-12)
+                assert np.all(shares >= 0.0)
+            assert np.all(u.inverse_marginal_share(0.0, rng.uniform(0.05, 30.0, 1000)) == 0.0)
+            # one ulp up from the rounded c/A lies above c/A itself
+            for lam in (np.nextafter(zero_marginal, np.inf), 2.0 * zero_marginal):
+                assert np.all(u.inverse_marginal_share(c, lam) == 0.0)
 
 
 class TestEnergyForm:
