@@ -50,7 +50,7 @@ from .utility import LogUtility
 OUTPUT_DIR_ENV = "UTILSCHED_OUTDIR"
 
 # CLI key -> ExperimentConfig field, in field order: the sweep CSV's column order
-FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.metadata}
+FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
 # the keys of the sweep commands, with their defaults
 SWEEP_KEYS = {key: f.default for key, f in FIELDS.items()}
 # fairness reads these ExperimentConfig keys, then these adapt_weights knobs
@@ -79,11 +79,12 @@ def _parse_value(key: str, text: str, where: str):
 
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file with per-line diagnostics."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     config = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,14 +152,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"manifest not found: {path}")
         try:
-            data = json.loads(p.read_text())
-            return cls(**data)
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise ConfigError(f"{path}: not a valid manifest ({exc})")
+            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, ValueError, TypeError) as exc:  # unreadable, not UTF-8 JSON, or wrong keys
+            raise ConfigError(f"{path}: not a readable manifest ({exc})")
 
 
 def _emit(out_dir: Path, tag: str, command: str, config: dict, header, rows):
@@ -341,6 +338,8 @@ SUITES = {
 
 
 def cmd_selfcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     names = [args.suite] if args.suite else list(SUITES)
     for name in names:
         if name not in SUITES:

@@ -32,10 +32,6 @@ class GradientSchedulerState:
         if np.any(self.avg_rates < 0):
             raise ValueError("average rates must be >= 0")
 
-    @classmethod
-    def initial(cls, n_users: int, smoothing: float = 0.01, initial_rate: float = 0.0):
-        return cls(np.full(n_users, float(initial_rate)), smoothing)
-
 
 def select_user(state: GradientSchedulerState, peak_rates, utilities) -> int:
     """Index of argmax_i U_i'(R_i) * c_i; ties go to the lowest index."""

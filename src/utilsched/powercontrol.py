@@ -36,7 +36,7 @@ import numpy as np
 from .channel import LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
 from .timeshare import allocate_ts
-from .utility import as_utility, per_share
+from .utility import as_utility
 
 __all__ = [
     "PowerPolicy",
@@ -81,10 +81,6 @@ class PowerPolicy:
     budgets: np.ndarray
     multipliers: np.ndarray
     pooled: bool = False
-
-    def powers(self) -> np.ndarray:
-        """Per-sample transmit powers energy/share, 0 where the share is 0."""
-        return per_share(self.energies, self.shares)
 
 
 def _bisect(rises, lo, hi, steps):

@@ -105,12 +105,9 @@ class QuantizedScheduler:
         self.mean_gains = np.atleast_1d(np.asarray(self.mean_gains, dtype=float))
         n = self.mean_gains.size
         self.utilities = as_utility(self.utilities, n)
-        if isinstance(self.quantizers, Quantizer):
-            self.quantizers = [self.quantizers] * n
-        else:
-            self.quantizers = list(self.quantizers)
-            if len(self.quantizers) != n:
-                raise ValueError(f"expected {n} quantizers, got {len(self.quantizers)}")
+        self.quantizers = list(self.quantizers)
+        if len(self.quantizers) != n:
+            raise ValueError(f"expected {n} quantizers, got {len(self.quantizers)}")
         if self.n_slots < 1:
             raise ValueError("need at least one slot")
         self._table = {}

@@ -32,7 +32,7 @@ from .utility import LogUtility, per_share
 
 __all__ = ["ExperimentConfig", "SimStats", "SweepEntry", "run_experiment", "sweep"]
 
-POLICIES = ("ts", "gs", "jtpc", "qtsl", "weighted_ts")
+POLICIES = ("ts", "gs", "jtpc", "qtsl")
 
 # frame indices at and above this offset are reserved for training draws
 TRAINING_FRAME_OFFSET = 2**32
@@ -58,10 +58,10 @@ class ExperimentConfig:
 
     ``mean_snr_db``, ``concavity`` and ``power_budget`` accept a scalar
     (symmetric users) or one value per user.  Policy-specific knobs are
-    ignored by the other policies.  Each field up to ``max_iterations`` is
-    also a CLI key, with the field's default and type, and the fields come
-    in the order of the sweep CSV's columns.  Construction raises
-    ``ValueError`` for an out-of-range or non-finite value, before any work.
+    ignored by the other policies.  Each field is also a CLI key, with the
+    field's default and type, and the fields come in the order of the sweep
+    CSV's columns.  Construction raises ``ValueError`` for an out-of-range
+    or non-finite value, before any work.
     """
 
     n_users: int = _key(2, "users", sweep=True)
@@ -81,8 +81,6 @@ class ExperimentConfig:
     seed: int = _key(0)
     training_samples: int = _key(10_000)
     max_iterations: int = _key(100, column=False)
-    # weighted time sharing
-    weights: object = None
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -211,15 +209,9 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             yield shares, achievable_rate(gains, link.transmit_power, link)
         return
 
-    weights = None
-    if config.policy == "weighted_ts":
-        if config.weights is None:
-            raise ValueError("weighted_ts needs a weights vector")
-        weights = np.asarray(config.weights, dtype=float)
-
     for frames in _frame_blocks(config.n_frames):
         rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
-        shares, _ = allocate_ts(rates, utility, weights=weights)
+        shares, _ = allocate_ts(rates, utility)
         yield shares, rates
 
 

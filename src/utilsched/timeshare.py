@@ -56,14 +56,14 @@ def allocate_ts(peak_rates, utilities, weights=None):
     Parameters
     ----------
     peak_rates : array_like, shape (N,) or (T, N)
-        Full-frame rate of each user, >= 0: one frame, or one row per frame.
+        Full-frame rate of each user, >= 0 and not NaN: one frame, or one row per frame.
     utilities : Utility or sequence of Utility
         One utility for all users (shared, or array-valued such as a
         ``LogUtility`` with one concavity per user), or one per user.
     weights : array_like, optional
-        Nonnegative objective weights, shape (N,), the same in every frame;
-        uniform weighting when omitted.  Scaling all weights by a common
-        factor does not change the shares.
+        Nonnegative, non-NaN objective weights, shape (N,), the same in
+        every frame; uniform weighting when omitted.  Scaling all weights by
+        a common factor does not change the shares.
 
     Returns
     -------
@@ -81,14 +81,14 @@ def allocate_ts(peak_rates, utilities, weights=None):
     n = rows.shape[1]
     if n < 1:
         raise ValueError("need at least one user")
-    if np.any(rows < 0):
+    if not np.all(rows >= 0):  # NaN fails too
         raise ValueError("peak rates must be >= 0")
     u = as_utility(utilities, n)
     if weights is None:
         w = np.ones(n)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w < 0):
+        if w.shape != (n,) or not np.all(w >= 0):
             raise ValueError("weights must be a nonnegative length-N vector")
 
     zero_marginals = w * u.marginal_share(rows, 0.0)

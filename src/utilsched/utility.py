@@ -112,17 +112,13 @@ class Utility(ABC):
 
         return marginal
 
-    def marginal_share_with_energy(self, share, energy, gain, link: LinkBudget):
-        """d/d(share) of value_with_energy at fixed energy.
-
-        At share == 0 this returns the one-sided limit: +inf when the user
-        has energy and gain to spend (any sliver of time helps), else 0.
-        """
-        return self.share_marginal(energy, gain, link)(share)
-
     def share_marginal(self, energy, gain, link: LinkBudget):
-        """``marginal_share_with_energy`` at this energy and gain, as a
-        function of share; what does not depend on the share is computed once."""
+        """d/d(share) of value_with_energy at this energy and gain, as a
+        function of share; what does not depend on the share is computed once.
+
+        At share == 0 the function returns the one-sided limit: +inf when the
+        user has energy and gain to spend (any sliver of time helps), else 0.
+        """
         snr = np.multiply(energy, gain) / link.effective_noise
         edge = np.where(snr > 0, np.inf, 0.0)
 

@@ -1,26 +1,19 @@
 import csv
 import json
-import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from utilsched import DegenerateBudgetError, simulate
 from utilsched.cli import (
-    FAIRNESS_KEYS,
-    KEY_TYPES,
-    SWEEP_KEYS,
     ConfigError,
     RunManifest,
     expand_sweep,
     load_config_file,
     main,
-    resolve_config,
 )
 
 DATA = Path(__file__).parent / "data"
-README = Path(__file__).parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -60,6 +53,16 @@ class TestConfigFile:
         status = main(["ts-sweep", "--config", "/nonexistent/path.cfg"])
         assert status == 2
         assert "/nonexistent/path.cfg" in capsys.readouterr().err
+
+    def test_directory_names_path(self, tmp_path, capsys):
+        assert main(["ts-sweep", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_file_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"users = 2\n# caf\xe9\n")
+        assert main(["ts-sweep", "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_expand_sweep_cartesian(self):
         points = expand_sweep({"users": [2, 4], "concavity": [0.1, 1.0], "seed": 0})
@@ -115,6 +118,7 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert "failed" in err or "numeric" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_non_finite_statistics_exit_3(self, tmp_path, capsys):
         # mean gains near 1e308 overflow the rates to inf and the rates times
         # shares to NaN; the run must fail instead of writing NaN statistics
@@ -219,6 +223,10 @@ class TestSelfcheck:
     def test_unknown_suite_config_error(self):
         assert main(["selfcheck", "--suite", "nope"]) == 2
 
+    def test_negative_seed_config_error(self, capsys):
+        assert main(["selfcheck", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_seed_replays(self, capsys):
         assert main(["selfcheck", "--suite", "ts-grid", "--seed", "7"]) == 0
         first = capsys.readouterr().out
@@ -234,6 +242,16 @@ class TestReplayValidation:
         bad = tmp_path / "m.json"
         bad.write_text("{not json")
         assert main(["replay", str(bad)]) == 2
+
+    def test_directory_manifest_names_path(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_manifest_names_path(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_bytes(b'{"command": "ts-sweep\xff"}')
+        assert main(["replay", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_tampered_hash_detected(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -339,18 +357,3 @@ class TestParentManifestsReplay:
         assert main(["replay", str(manifest), "--output", str(tmp_path)]) == 0
         assert "replay verified" in capsys.readouterr().out
 
-
-class TestReadmeKeyTable:
-    def test_lists_exactly_the_cli_keys_and_defaults(self):
-        sweep, fairness = {}, {}
-        for line in README.read_text().splitlines():
-            match = re.fullmatch(r"\| `(\w+)` \|.*\| (.*) \| (.*) \|", line)
-            if match:
-                key, sweep_default, fairness_default = match.groups()
-                if sweep_default:
-                    sweep[key] = KEY_TYPES[key](sweep_default)
-                if fairness_default:
-                    fairness[key] = KEY_TYPES[key](fairness_default)
-        # the subcommand sets policy; it has no flag
-        assert sweep == {k: v for k, v in SWEEP_KEYS.items() if k != "policy"}
-        assert fairness == FAIRNESS_KEYS

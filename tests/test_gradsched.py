@@ -27,15 +27,10 @@ class TestState:
         with pytest.raises(ValueError):
             GradientSchedulerState(np.array([-1.0]))
 
-    def test_initial(self):
-        state = GradientSchedulerState.initial(3, smoothing=0.05)
-        assert_allclose(state.avg_rates, [0.0, 0.0, 0.0])
-        assert state.smoothing == 0.05
-
 
 class TestSelect:
     def test_single_user(self):
-        state = GradientSchedulerState.initial(1)
+        state = GradientSchedulerState(np.zeros(1))
         assert select_user(state, [2.0], LogUtility(1.0)) == 0
 
     def test_equal_weights_reduce_to_argmax_rate(self):
@@ -104,7 +99,7 @@ class TestLongRunFairness:
         link = LinkBudget(snr_gap_db=8.2)
         model = ChannelModel.from_snr_db(np.full(n, 10.0), link)
         u = LogUtility(0.1)
-        state = GradientSchedulerState.initial(n, smoothing=0.01)
+        state = GradientSchedulerState(np.zeros(n), smoothing=0.01)
         counts = np.zeros(n)
         for t in range(frames):
             rates = achievable_rate(sample_gains(model, 77, t), 1.0, link)
@@ -149,7 +144,7 @@ class TestScheduleFrames:
         # equal averages and equal rates tie every user in every frame until
         # the averages part; all-zero frames tie at score 0
         rates = np.vstack([np.full((20, 4), 2.0), np.zeros((5, 4)), np.full((20, 4), 2.0)])
-        state = GradientSchedulerState.initial(4, smoothing=0.25)
+        state = GradientSchedulerState(np.zeros(4), smoothing=0.25)
         chosen, avg = _schedule_frames(state.avg_rates, state.smoothing, rates, LogUtility(1.0))
         expected_chosen, expected_avg = public_loop(state, rates, LogUtility(1.0))
         assert chosen[0] == 0
@@ -160,7 +155,7 @@ class TestScheduleFrames:
         # run_experiment carries the averages from one block to the next
         rng = np.random.default_rng(5)
         rates = rng.exponential(1.0, size=(2 * BLOCK_FRAMES + 3, 3))
-        state = GradientSchedulerState.initial(3, smoothing=0.05, initial_rate=0.5)
+        state = GradientSchedulerState(np.full(3, 0.5), smoothing=0.05)
         avg, chosen = state.avg_rates, []
         for start in range(0, len(rates), BLOCK_FRAMES):
             block = rates[start : start + BLOCK_FRAMES]

@@ -16,6 +16,7 @@ from utilsched import (
     update_shares,
 )
 from utilsched.powercontrol import update_energies_pooled
+from utilsched.utility import per_share
 
 LINK = LinkBudget(snr_gap_db=0.0)
 
@@ -71,7 +72,7 @@ class TestSolveUplink:
     def test_powers_reported_zero_at_zero_share(self):
         gains = np.array([[2.0, 0.0], [1.0, 3.0]])
         policy, _ = solve_uplink(gains, LogUtility(0.5), [1.0, 1.0], LINK)
-        powers = policy.powers()
+        powers = per_share(policy.energies, policy.shares)
         assert powers[policy.shares == 0.0].tolist() == [0.0] * int((policy.shares == 0).sum())
 
 
@@ -241,5 +242,5 @@ class TestUnbracketedEnergy:
         shares, energies = self.apply_at(1e-30)
         assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
         assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), 1e-30, rtol=1e-9)
-        share_marginals = u.marginal_share_with_energy(shares, energies, self.GAINS, LINK)
+        share_marginals = u.share_marginal(energies, self.GAINS, LINK)(shares)
         assert_allclose(share_marginals[0], share_marginals[1], rtol=1e-9)

@@ -1,7 +1,9 @@
-"""The README's library quick start runs against the current public API."""
+"""The README's library quick start and CLI key table match the current code."""
 
 import re
 from pathlib import Path
+
+from utilsched.cli import FAIRNESS_KEYS, KEY_TYPES, SWEEP_KEYS
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -18,3 +20,18 @@ def test_library_quick_start_runs():
     namespace = {"__name__": "readme_quick_start"}
     exec(compile(quick_start_code(), str(README), "exec"), namespace)
     assert namespace["shares"].shape == (100, 3)
+
+
+def test_key_table_lists_exactly_the_cli_keys_and_defaults():
+    sweep, fairness = {}, {}
+    for line in README.read_text().splitlines():
+        match = re.fullmatch(r"\| `(\w+)` \|.*\| (.*) \| (.*) \|", line)
+        if match:
+            key, sweep_default, fairness_default = match.groups()
+            if sweep_default:
+                sweep[key] = KEY_TYPES[key](sweep_default)
+            if fairness_default:
+                fairness[key] = KEY_TYPES[key](fairness_default)
+    # the subcommand sets policy; it has no flag
+    assert sweep == {k: v for k, v in SWEEP_KEYS.items() if k != "policy"}
+    assert fairness == FAIRNESS_KEYS

@@ -77,20 +77,6 @@ class TestRunExperiment:
         stats = run_experiment(config)
         assert_allclose(stats.occupancy.sum(), 1.0, atol=1e-12)
 
-    def test_weighted_ts_requires_weights(self):
-        config = ExperimentConfig(n_users=2, policy="weighted_ts", n_frames=10)
-        with pytest.raises(ValueError):
-            run_experiment(config)
-
-    def test_weighted_ts_tilts_rates(self):
-        base = dict(n_users=2, mean_snr_db=10.0, n_frames=800, seed=8)
-        even = run_experiment(ExperimentConfig(policy="weighted_ts",
-                                               weights=[0.5, 0.5], **base))
-        tilted = run_experiment(ExperimentConfig(policy="weighted_ts",
-                                                 weights=[0.9, 0.1], **base))
-        assert tilted.mean_rate[0] > even.mean_rate[0]
-        assert tilted.mean_rate[1] < even.mean_rate[1]
-
     def test_qtsl_shares_are_slot_multiples(self):
         config = ExperimentConfig(n_users=3, policy="qtsl", n_slots=4,
                                   feedback_bits=2, n_frames=50, seed=5)
@@ -115,11 +101,13 @@ class TestSweep:
         assert entry.error is None
         assert entry.stats.taur == direct.taur
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_errors_collected_not_fatal(self):
         good = ExperimentConfig(n_users=2, policy="ts", n_frames=50, seed=1)
-        bad = ExperimentConfig(n_users=2, policy="weighted_ts", n_frames=50)
+        # gains near 1e308 overflow, so the statistics are not finite
+        bad = ExperimentConfig(n_users=2, policy="ts", mean_snr_db=3080.0, n_frames=50)
         entries = sweep([bad, good])
-        assert entries[0].error is not None
+        assert isinstance(entries[0].error, FloatingPointError)
         assert entries[1].error is None
 
     def test_empty_sweep_rejected(self):

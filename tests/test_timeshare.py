@@ -72,6 +72,15 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate_ts([1.0, 2.0], [LogUtility(1.0)])  # wrong utility count
 
+    @pytest.mark.parametrize("rates, weights", [
+        ([np.nan, 1.0], None),
+        ([[1.0, 2.0], [np.nan, 1.0]], None),
+        ([1.0, 2.0], [np.nan, 1.0]),
+    ], ids=["frame", "batch-row", "weights"])
+    def test_nan_rejected_like_a_negative(self, rates, weights):
+        with pytest.raises(ValueError, match="must be"):
+            allocate_ts(rates, LogUtility(0.1), weights=weights)
+
 
 class TestKkt:
     def test_random_instances(self):

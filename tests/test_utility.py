@@ -159,13 +159,13 @@ class TestEnergyForm:
             fd = central_difference(
                 lambda r: float(u.value_with_energy(r, s, g, self.link)), rho
             )
-            analytic = u.marginal_share_with_energy(rho, s, g, self.link)
+            analytic = u.share_marginal(s, g, self.link)(rho)
             assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic))
 
     def test_share_marginal_boundary_limits(self):
         u = LogUtility(0.5)
-        assert np.isinf(u.marginal_share_with_energy(0.0, 1.0, 2.0, self.link))
-        assert u.marginal_share_with_energy(0.0, 0.0, 2.0, self.link) == 0.0
+        assert np.isinf(u.share_marginal(1.0, 2.0, self.link)(0.0))
+        assert u.share_marginal(0.0, 2.0, self.link)(0.0) == 0.0
 
     def test_joint_concavity(self):
         # directional second differences of U(share, energy) stay <= 1e-8
@@ -239,7 +239,7 @@ class TestHoistedMarginals:
         shares, gains, energies = self._grid()
         at = u.share_marginal(energies, gains, self.link)
         for share in (shares, shares[::-1], np.zeros_like(shares), np.ones_like(shares)):
-            direct = u.marginal_share_with_energy(share, energies, gains, self.link)
+            direct = u.share_marginal(energies, gains, self.link)(share)  # built for this share alone
             assert np.array_equal(at(share), direct)
             assert np.array_equal(direct, _reference_marginal_share(u, share, energies, gains, self.link))
 
@@ -248,7 +248,7 @@ class TestHoistedMarginals:
         value = u.energy_marginal(0.4, 2.0, self.link)(1.0)
         assert type(value) is float and value == u.marginal_energy(0.4, 1.0, 2.0, self.link)
         value = u.share_marginal(1.0, 2.0, self.link)(0.4)
-        assert type(value) is float and value == u.marginal_share_with_energy(0.4, 1.0, 2.0, self.link)
+        assert type(value) is float and value == _reference_marginal_share(u, 0.4, 1.0, 2.0, self.link)
         assert u.energy_marginal(0.4, 0.0, self.link)(1.0) == 0.0
         assert np.isinf(u.share_marginal(1.0, 2.0, self.link)(0.0))
         assert u.share_marginal(0.0, 2.0, self.link)(0.0) == 0.0
@@ -266,5 +266,3 @@ class TestHoistedMarginals:
         negative[3, 1] = -0.25
         with pytest.raises(ValueError, match="share must be >= 0"):
             u.share_marginal(energies, gains, self.link)(negative)
-        with pytest.raises(ValueError, match="share must be >= 0"):
-            u.marginal_share_with_energy(negative, energies, gains, self.link)
