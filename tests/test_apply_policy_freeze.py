@@ -21,13 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utilsched import ExperimentConfig, apply_policy, sample_gains, solve_downlink, solve_uplink
+from utilsched import (
+    ExperimentConfig, LogUtility, apply_policy, sample_gains, solve_downlink, solve_uplink,
+)
 from utilsched.simulate import TRAINING_FRAME_OFFSET
 
 DATA = Path(__file__).parent / "data" / "apply_policy_bits.json"
 # users -> (training samples, fresh frames).  At 0 dB and seed 0, N=2 frames
-# 58, 116 and 123 or 162 take 100-300 rounds, and frame 162 (uplink) or 123
-# (downlink) is still moving at the cap; the N=3 frames take 2 to 68 rounds
+# 58, 116, 123 and 162 take 100-300 rounds, and frame 123 (downlink) or 19,
+# 116, 123 and 162 (uplink) are still moving at the cap; the N=3 batches
+# stop on ``tol`` after 32 to 35 rounds with three or four frames still moving
 SETUPS = {
     2: (60, list(range(24)) + [58, 116, 123, 162]),
     3: (40, [0, 1, 3, 4, 7, 11]),
@@ -40,10 +43,11 @@ def _digest(value: np.ndarray) -> str:
 
 
 @functools.cache
-def _setup(n_users):
+def _setup(n_users, utility_of=LogUtility):
     n_samples, frames = SETUPS[n_users]
     config = ExperimentConfig(n_users=n_users, mean_snr_db=0.0, policy="jtpc")
-    link, model, utility = config.link(), config.channel(), config.utilities()
+    link, model = config.link(), config.channel()
+    utility = utility_of(config.per_user("concavity"))
 
     def draw(indices):
         return np.stack([sample_gains(model, config.seed, t) for t in indices])
@@ -56,14 +60,19 @@ def _setup(n_users):
     return policies, draw(frames), utility, link
 
 
-def compute_digests() -> dict:
+def compute_results(utility_of=LogUtility) -> dict:
+    """Every case's arrays, with ``utility_of(concavities)`` as the utility."""
     out = {}
     for n_users in sorted(SETUPS):
-        policies, gains, utility, link = _setup(n_users)
+        policies, gains, utility, link = _setup(n_users, utility_of)
         for name, policy in policies.items():
             shares, energies = apply_policy(policy, gains, utility, link)
-            out[f"{name}_n{n_users}"] = {"shares": _digest(shares), "energies": _digest(energies)}
+            out[f"{name}_n{n_users}"] = {"shares": shares, "energies": energies}
     return out
+
+
+def compute_digests() -> dict:
+    return {case: {k: _digest(v) for k, v in arrays.items()} for case, arrays in compute_results().items()}
 
 
 EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}

@@ -5,7 +5,8 @@ trace is stored in ``data/powercontrol_bits.json``.  The cases cover the
 uplink and downlink solves at N=1 (no share solve), N=2 (the one-dimensional
 share bisection) and N=3 (the nested general share bisection), and
 ``apply_policy`` on fresh gains, whose energy water filling widens its
-bracket past 1.  A refactor of the solvers must reproduce every hash.
+bracket past 1.  A refactor of the solvers must reproduce every hash;
+``test_log_newton.py`` compares the same cases with the generic solvers.
 
 To record the hashes again, run ``python tests/test_powercontrol_bits.py``
 with ``src`` on ``PYTHONPATH``.
@@ -45,10 +46,11 @@ def _gains(n_users, n_samples, seed):
     return gains
 
 
-def compute_digests() -> dict:
+def compute_results(utility_of=LogUtility) -> dict:
+    """Every case's arrays, with ``utility_of(concavities)`` as the utility."""
     out = {}
     for n_users, (n_samples, budgets, concavity) in SETUPS.items():
-        utility = LogUtility(np.array(concavity))
+        utility = utility_of(np.array(concavity))
         gains = _gains(n_users, n_samples, seed=n_users)
         fresh = _gains(n_users, 16, seed=100 + n_users)
         for name, solve, budget in (
@@ -58,14 +60,18 @@ def compute_digests() -> dict:
             policy, trace = solve(gains, utility, budget, LINK, threshold=1e-3)
             key = f"{name}_n{n_users}"
             out[key] = {
-                "shares": _digest(policy.shares),
-                "energies": _digest(policy.energies),
-                "multipliers": _digest(policy.multipliers),
-                "objectives": _digest(trace.objectives),
+                "shares": policy.shares,
+                "energies": policy.energies,
+                "multipliers": policy.multipliers,
+                "objectives": trace.objectives,
             }
             shares, energies = apply_policy(policy, fresh, utility, LINK, max_rounds=2)
-            out[f"apply_{key}"] = {"shares": _digest(shares), "energies": _digest(energies)}
+            out[f"apply_{key}"] = {"shares": shares, "energies": energies}
     return out
+
+
+def compute_digests() -> dict:
+    return {case: {k: _digest(v) for k, v in arrays.items()} for case, arrays in compute_results().items()}
 
 
 EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}
