@@ -20,9 +20,14 @@ variant pools everything under one total-power multiplier.  Because every
 block update is an exact maximization, the recorded objective sequence is
 nondecreasing, which the tests assert directly.
 
-All inner solves are one bisection (``_bisect``) vectorized across the
-whole sample grid; each step evaluates a marginal that the users' utility
-built once for the solve (``energy_marginal``, ``share_marginal``).
+Every inner solve is vectorized across the whole sample grid.  The budget
+water levels, the simplex multiplier and the two-user share split are
+bisected (``_bisect``).  For the log family the per-entry inversions are
+Newton solves: each energy solves an exact root equation (its Lambert-W
+form) from below, and at N >= 3 each share step is a Newton step kept
+inside the bisection bracket.  Any other utility inverts its marginals by
+the same fixed-step bisection, evaluating a marginal built once for the
+solve (``energy_marginal``, ``share_marginal``).
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation and freezes a frame once a round reproduces its
@@ -33,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkBudget, achievable_rate
+from .channel import LN2, LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
 from .timeshare import allocate_ts
-from .utility import as_utility
+from .utility import LogUtility, as_utility
 
 __all__ = [
     "PowerPolicy",
@@ -53,6 +58,10 @@ __all__ = [
 SHARE_BISECT = 50
 INNER_BISECT = 46
 ENERGY_BISECT = 56
+# caps of the log family's Newton solves, far above the steps they take
+ENERGY_NEWTON = 100
+SHARE_NEWTON = 100
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -110,7 +119,8 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
 
     For each sample the simplex multiplier is bisected; each candidate
     multiplier is inverted through the (strictly decreasing) share marginal
-    by an inner bisection on [0, 1].  With two users the simplex collapses
+    on [0, 1], by Newton steps for the log family and by an inner bisection
+    for any other utility.  With two users the simplex collapses
     to one dimension and the marginals are equalized directly.  Users with
     zero energy or zero gain in a sample get zero share there; samples where
     nobody can transmit fall back to uniform shares.
@@ -163,12 +173,18 @@ def _update_shares_general(u, gains, energies, link, active):
     lo = np.where(live, lo, 1.0)
     hi = np.maximum(hi, lo)
 
+    if isinstance(u, LogUtility):
+        invert = _log_share_inverse(u, energies, gains, link)
+    else:
+        def invert(lam, solve):
+            return _bisect(
+                lambda mid: marginal(mid) > lam[:, None],
+                np.zeros((n, nu)), np.ones((n, nu)), INNER_BISECT,
+            )
+
     def shares_at(lam):
-        rho = _bisect(
-            lambda mid: marginal(mid) > lam[:, None],
-            np.zeros((n, nu)), np.ones((n, nu)), INNER_BISECT,
-        )
-        rho = np.where(active & (m_one >= lam[:, None]), 1.0, rho)
+        full = active & (m_one >= lam[:, None])
+        rho = np.where(full, 1.0, invert(lam, active & ~full))
         return np.where(active, rho, 0.0)
 
     lam = _bisect(lambda lam: shares_at(lam).sum(axis=1) > 1.0, lo, hi, SHARE_BISECT)
@@ -179,20 +195,85 @@ def _update_shares_general(u, gains, energies, link, active):
     return shares
 
 
+def _log_share_inverse(u, energies, gains, link):
+    """Log-family inverse of the share marginal, ``(lam, solve) -> shares``.
+
+    Each entry in the mask ``solve`` gets the share where its marginal
+    equals its row's ``lam``, by Newton's method kept inside the bisection
+    bracket [0, 1] ("rtsafe", Press et al., Numerical Recipes, 9.4).  With
+    x = snr/share and h the marginal rate, the marginal m = U'·h has the
+    derivative -U'^2 h^2 - U' (x/(1+x))^2 / (share ln2).  Each call starts
+    from the shares of the previous call, which the outer multiplier
+    bisection makes close.  Entries outside ``solve`` are left undefined.
+    """
+    snr = (energies * gains / link.effective_noise).ravel()
+    concavity = np.broadcast_to(u.concavity, gains.shape).ravel()
+    nu = gains.shape[1]
+    rho = np.full(snr.size, 0.5)
+
+    def invert(lam, solve):
+        idx = np.flatnonzero(solve)
+        s, a, target = rho[idx], concavity[idx], lam[idx // nu]
+        s = np.where((s > 0) & (s < 1), s, 0.5)
+        lo, hi = np.zeros(idx.size), np.ones(idx.size)
+        live = np.arange(idx.size)
+        for _ in range(SHARE_NEWTON):
+            if not live.size:
+                break
+            sl = s[live]
+            # x overflows only where the share is far too small: the NaNs
+            # that follow count as a marginal above the target
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                x = snr[idx[live]] / sl
+                q = x / (1.0 + x)
+                full = np.log1p(x) / LN2
+                slope = 1.0 / (a[live] + sl * full)
+                h = full - q / LN2
+                f = slope * h - target[live]
+                trial = sl + f / (slope * (slope * h * h + q * q / (sl * LN2)))
+            too_small = ~(f <= 0)
+            lo[live] = np.where(too_small, sl, lo[live])
+            hi[live] = np.where(too_small, hi[live], sl)
+            inside = (trial > lo[live]) & (trial < hi[live])
+            trial = np.where(inside, trial, 0.5 * (lo[live] + hi[live]))
+            # h = full - q/ln2 cancels at small x: f is known to a few eps of
+            # its terms, not of the target
+            met = np.abs(f) <= 8 * EPS * (target[live] + slope * full)
+            s[live] = np.where(met, sl, trial)
+            # shares sum to 1, so a bracket 4 eps wide pins a root near 0 well enough
+            settled = (np.abs(trial - sl) <= 4 * EPS * trial) | (hi[live] - lo[live] <= 4 * EPS)
+            live = live[~(met | settled)]
+        if live.size:
+            raise ConvergenceError(
+                f"share Newton solve unconverged after {SHARE_NEWTON} steps on {live.size} entries",
+                diagnostics={"entries": idx[live].tolist(), "lo": lo[live].tolist(),
+                             "hi": hi[live].tolist()},
+            )
+        rho[idx] = s
+        return rho.reshape(gains.shape).copy()
+
+    return invert
+
+
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
-    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  Raises
-    ``ConvergenceError`` if 120 doublings cannot bracket an energy.
+    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  The log
+    family's energies are Newton solves; any other utility's are bisected.
+    Raises ``ConvergenceError`` if a Newton solve hits its cap, if a log
+    family energy is not a finite float, or if 120 doublings cannot
+    bracket a generic utility's energy.
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
-    energy_marginal = u.energy_marginal(shares, gains, link)
     if m_zero is None:
-        m_zero = energy_marginal(zeros)
+        m_zero = u.marginal_energy(shares, zeros, gains, link)
     active = (shares > 0) & (gains > 0) & (m_zero > multiplier)
     if not active.any():
         return zeros
+    if isinstance(u, LogUtility):
+        return _log_energies(u, gains, shares, link, multiplier, m_zero, active)
+    energy_marginal = u.energy_marginal(shares, gains, link)
 
     def marginal(energy):
         return energy_marginal(np.where(active, energy, 0.0))
@@ -201,6 +282,49 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
                   ConvergenceError("energy bracket not found in 120 doublings"))
     energies = _bisect(lambda s: active & (marginal(s) > multiplier), zeros, s_hi, INNER_BISECT)
     return np.where(active, energies, 0.0)
+
+
+def _log_energies(u, gains, shares, link, multiplier, m_zero, active):
+    """Log-family energies on the ``active`` entries, 0 elsewhere.
+
+    With t = ln(1 + energy·snr/share) and r = share/(A ln2), the energy
+    condition marginal_energy == multiplier reads
+    g(t) = t + log1p(r t) - c = 0 with c = ln(m_zero/multiplier) > 0, an
+    exact form of its Lambert-W solution (Corless et al., On the Lambert W
+    function, 1996).  g is concave and increasing with g' >= 1, so Newton's
+    method started below the root rises monotonically to it.  It starts at
+    the larger of two lower bounds: its first step from t = 0, c/(1+r), and
+    c - log1p(r c), which holds because the root is at most c.
+    """
+    def at(grid):
+        return np.broadcast_to(grid, active.shape)[active]
+
+    snr, share = at(gains) / link.effective_noise, at(shares)
+    r = share / (LN2 * at(u.concavity))
+    c = np.log(at(m_zero)) - np.log(at(multiplier))
+    t = np.maximum(c / (1.0 + r), c - np.log1p(r * c))
+    done = np.zeros(t.size, dtype=bool)
+    for _ in range(ENERGY_NEWTON):
+        rt = r * t
+        step = (c - t - np.log1p(rt)) / (1.0 + r / (1.0 + rt))
+        t = np.where(done, t, t + step)
+        done |= step <= 4 * EPS * t
+        if done.all():
+            break
+    if not done.all():
+        raise ConvergenceError(
+            f"energy Newton solve unconverged after {ENERGY_NEWTON} steps on {(~done).sum()} entries",
+            diagnostics={"t": t[~done].tolist(), "c": c[~done].tolist(), "r": r[~done].tolist()},
+        )
+    with np.errstate(over="ignore"):
+        energies = np.expm1(t) * share / snr
+    if not np.all(np.isfinite(energies)):
+        raise ConvergenceError(
+            "energy is not a finite float", diagnostics={"t": t[~np.isfinite(energies)].tolist()}
+        )
+    out = np.zeros(active.shape)
+    out[active] = energies
+    return out
 
 
 def update_energies(gains, shares, utilities, budgets, link: LinkBudget):

@@ -45,3 +45,75 @@ def test_digest_cases_match_generic_bisection(module):
             else:
                 assert_allclose(value, other, **ARRAY_TOL, err_msg=f"{case} {name}")
 
+
+# ---------------------------------------------------------------------------
+# property tests; hypothesis ships with the ``test`` extra only
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from utilsched import LinkBudget, LogUtility, update_shares  # noqa: E402
+from utilsched.powercontrol import _waterfill_energies  # noqa: E402
+
+LINK = LinkBudget(snr_gap_db=3.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def grids(draw, n_users, values, zero=0.0):
+    """An (n, n_users) grid of ``values``, with ``zero`` in some entries."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(zero), values, values, values)
+    return np.array(draw(st.lists(st.lists(cell, min_size=n_users, max_size=n_users),
+                                  min_size=n, max_size=n)))
+
+
+@st.composite
+def energy_problems(draw):
+    nu = draw(st.integers(1, 4))
+    gains = draw(grids(nu, log_uniform(1e-3, 1e3)))
+    shares = draw(st.lists(st.lists(st.one_of(st.just(0.0), log_uniform(1e-6, 1.0)),
+                                    min_size=nu, max_size=nu),
+                           min_size=len(gains), max_size=len(gains)).map(np.array))
+    scalar = draw(st.booleans())
+    concavity = draw(log_uniform(1e-3, 1e3)) if scalar else np.array(
+        draw(st.lists(log_uniform(1e-3, 1e3), min_size=nu, max_size=nu)))
+    multiplier = np.array(draw(st.lists(log_uniform(1e-12, 1e4), min_size=nu, max_size=nu)))
+    return gains, shares, LogUtility(concavity), multiplier[None, :]
+
+
+@given(energy_problems())
+def test_log_energies_meet_the_energy_condition(problem):
+    gains, shares, u, lam = problem
+    energies = _waterfill_energies(u, gains, shares, LINK, lam)
+    m_zero = u.marginal_energy(shares, np.zeros_like(gains), gains, LINK)
+    active = (shares > 0) & (gains > 0) & (m_zero > lam)
+    assert np.all(energies[~active] == 0.0) and np.all(energies[active] >= 0.0)
+    marginals = u.marginal_energy(shares, energies, gains, LINK)
+    target = np.broadcast_to(lam, gains.shape)
+    assert np.all(np.abs(marginals[active] - target[active]) <= 1e-12 * target[active])
+
+
+@settings(max_examples=25)
+@given(grids(3, log_uniform(1e-3, 1e2)), grids(3, log_uniform(1e-2, 1e2)),
+       st.lists(log_uniform(1e-2, 1e2), min_size=3, max_size=3))
+def test_n3_share_step_meets_kkt_and_matches_bisection(energies, gains, concavity):
+    # the Newton step for LogUtility, the nested bisection for ScaledLog
+    n = min(len(energies), len(gains))
+    energies, gains, concavity = energies[:n], gains[:n], np.array(concavity)
+    u = LogUtility(concavity)
+    shares = update_shares(gains, energies, u, LINK)
+    bisected = update_shares(gains, energies, generic_log(concavity), LINK)
+    assert np.all(shares >= 0) and np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-12)
+    assert_allclose(shares, bisected, rtol=0, atol=1e-9)
+    marginals = u.share_marginal(energies, gains, LINK)(shares)
+    for row, share, can in zip(marginals, shares, (energies > 0) & (gains > 0)):
+        if not can.any():
+            continue  # nobody can transmit: uniform shares
+        assert np.all(share[~can] == 0.0)
+        inner = row[(share > 1e-6) & (share < 1.0)]
+        if inner.size >= 2:
+            assert inner.max() - inner.min() <= 1e-9 * inner.max()

@@ -18,6 +18,8 @@ from utilsched import (
 from utilsched.powercontrol import update_energies_pooled
 from utilsched.utility import per_share
 
+from test_utility import ScaledLog
+
 LINK = LinkBudget(snr_gap_db=0.0)
 
 
@@ -220,27 +222,57 @@ class TestApplyPolicy:
 
 
 class TestUnbracketedEnergy:
-    """A multiplier so small that the energy root lies beyond 2**120."""
+    """Multipliers so small that the energy root lies beyond 2**120.
+
+    The generic bisection cannot bracket such a root and raises; the log
+    family solves it exactly, up to the float range.
+    """
 
     GAINS = np.array([1.0, 2.0])
 
-    def apply_at(self, multiplier):
+    def apply_at(self, multiplier, utility=LogUtility(1.0)):
         from utilsched.powercontrol import PowerPolicy
 
         policy = PowerPolicy(
             gains=self.GAINS[None, :], shares=np.full((1, 2), 0.5), energies=np.ones((1, 2)),
             budgets=np.ones(2), multipliers=np.full(2, multiplier),
         )
-        return apply_policy(policy, self.GAINS, LogUtility(1.0), LINK)
+        return apply_policy(policy, self.GAINS, utility, LINK)
 
     def test_raises_instead_of_bisecting_outside_the_bracket(self):
         with pytest.raises(ConvergenceError, match="bracket"):
-            self.apply_at(1e-40)
+            self.apply_at(1e-40, ScaledLog(1.0, scale=1.0))
 
-    def test_small_bracketed_multiplier_meets_kkt(self):
+    def assert_kkt(self, multiplier):
         u = LogUtility(1.0)
-        shares, energies = self.apply_at(1e-30)
+        shares, energies = self.apply_at(multiplier)
         assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
-        assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), 1e-30, rtol=1e-9)
+        assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), multiplier, rtol=1e-9)
         share_marginals = u.share_marginal(energies, self.GAINS, LINK)(shares)
         assert_allclose(share_marginals[0], share_marginals[1], rtol=1e-9)
+
+    def test_small_bracketed_multiplier_meets_kkt(self):
+        self.assert_kkt(1e-30)
+
+    def test_log_family_meets_kkt_past_the_bracket(self):
+        self.assert_kkt(1e-40)
+
+    def test_energy_past_the_float_range_raises(self):
+        # ln(1 + energy*snr/share) is about 730 here: the energy overflows
+        with pytest.raises(ConvergenceError, match="finite") as info:
+            self.apply_at(1e-320)
+        assert min(info.value.diagnostics["t"]) > np.log(np.finfo(float).max)
+
+    def test_newton_cap_raises_with_diagnostics(self, monkeypatch):
+        from utilsched import powercontrol
+
+        monkeypatch.setattr(powercontrol, "ENERGY_NEWTON", 1)
+        with pytest.raises(ConvergenceError, match="energy Newton") as info:
+            self.apply_at(1e-30)
+        assert set(info.value.diagnostics) == {"t", "c", "r"}
+        monkeypatch.undo()
+        monkeypatch.setattr(powercontrol, "SHARE_NEWTON", 1)
+        gains = np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(ConvergenceError, match="share Newton") as info:
+            update_shares(gains, np.ones((1, 3)), LogUtility(1.0), LINK)
+        assert set(info.value.diagnostics) == {"entries", "lo", "hi"}

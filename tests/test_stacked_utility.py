@@ -96,9 +96,12 @@ class TestSchedulers:
 
 class TestPowerControl:
     def test_uplink_and_apply_policy_equal(self):
-        # heterogeneous concavities at N=3 take the general share update;
-        # the column-by-column form must give the same bits as the stacked one
-        # (the general path is slow, so the instance is kept small)
+        # heterogeneous concavities at N=3 take the general share update; the
+        # per-user LogUtility sequence stacks into the same array-valued
+        # utility and gives the same bits.  PlainLog columns are generic
+        # utilities, solved by bisection, not by the log family's Newton
+        # steps: they agree to the bisection's resolution, as allocate_ts's
+        # two paths do in test_timeshare.py
         rng = np.random.default_rng(6)
         gains = rng.exponential(1.0, size=(8, 3))
         fresh = rng.exponential(1.0, size=(4, 3))
@@ -111,9 +114,12 @@ class TestPowerControl:
             shares, energies = apply_policy(policy, fresh, utilities, LINK, max_rounds=5)
             results.append((policy.shares, policy.energies, policy.multipliers,
                             np.array(trace.objectives), shares, energies))
-        for other in results[1:]:
-            for x, y in zip(results[0], other):
-                assert np.array_equal(x, y)
+        stacked, listed, columns = results
+        for x, y in zip(stacked, listed):
+            assert np.array_equal(x, y)
+        for x, y in zip(stacked, columns):
+            assert x.shape == y.shape
+            assert_allclose(x, y, rtol=1e-12, atol=1e-12)
 
 
 class TestValidation:

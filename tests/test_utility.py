@@ -250,8 +250,6 @@ class TestHoistedMarginals:
         value = u.share_marginal(1.0, 2.0, self.link)(0.4)
         assert type(value) is float and value == _reference_marginal_share(u, 0.4, 1.0, 2.0, self.link)
         assert u.energy_marginal(0.4, 0.0, self.link)(1.0) == 0.0
-        assert np.isinf(u.share_marginal(1.0, 2.0, self.link)(0.0))
-        assert u.share_marginal(0.0, 2.0, self.link)(0.0) == 0.0
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
     def test_invalid_arguments_raise(self, name):
