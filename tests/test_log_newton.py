@@ -63,10 +63,10 @@ def log_uniform(lo, hi):
 
 
 @st.composite
-def grids(draw, n_users, values, zero=0.0):
-    """An (n, n_users) grid of ``values``, with ``zero`` in some entries."""
+def grids(draw, n_users, values):
+    """An (n, n_users) grid of ``values``, with 0 in some entries."""
     n = draw(st.integers(1, 6))
-    cell = st.one_of(st.just(zero), values, values, values)
+    cell = st.one_of(st.just(0.0), values, values, values)
     return np.array(draw(st.lists(st.lists(cell, min_size=n_users, max_size=n_users),
                                   min_size=n, max_size=n)))
 
