@@ -22,12 +22,12 @@ nondecreasing, which the tests assert directly.
 
 Every inner solve is vectorized across the whole sample grid.  The budget
 water levels, the simplex multiplier and the two-user share split are
-bisected (``_bisect``).  For the log family the per-entry inversions are
-Newton solves: each energy solves an exact root equation (its Lambert-W
-form) from below, and at N >= 3 each share step is a Newton step kept
-inside the bisection bracket.  Any other utility inverts its marginals by
-the same fixed-step bisection, evaluating a marginal built once for the
-solve (``energy_marginal``, ``share_marginal``).
+bisected (``_bisect``).  Each energy is the root of one equation in its
+log-SNR, bracketed in closed form for every utility: the log family solves
+it by Newton's method from below (its Lambert-W form), any other utility by
+bisection.  At N >= 3 the log family's share step is a Newton step kept
+inside the bisection bracket; any other utility bisects it, evaluating a
+share marginal built once for the solve (``share_marginal``).
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation and freezes a frame once a round reproduces its
@@ -258,11 +258,16 @@ def _log_share_inverse(u, energies, gains, link):
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
-    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  The log
-    family's energies are Newton solves; any other utility's are bisected.
-    Raises ``ConvergenceError`` if a Newton solve hits its cap, if a log
-    family energy is not a finite float, or if 120 doublings cannot
-    bracket a generic utility's energy.
+    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  In
+    t = ln(1 + energy·snr/share) the condition reads g(t) = 0 with
+    g(t) = t - ln(U'(share·t/ln2)/U'(0)) - c and c = ln(m_zero/multiplier);
+    g(0) = -c and U' decreases, so the root lies in [0, c] for every utility.
+    The log family's g is t + log1p(r t) - c with r = share/(A ln2), an
+    exact form of its Lambert-W solution (Corless et al., On the Lambert W
+    function, 1996): concave with g' >= 1, so Newton's method from the lower
+    bound max(c/(1+r), c - log1p(r c)) rises monotonically to the root.  Any
+    other utility bisects g on [0, c].  Raises ``ConvergenceError`` if a
+    Newton solve hits its cap or an energy is not a finite float.
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
@@ -271,53 +276,42 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     active = (shares > 0) & (gains > 0) & (m_zero > multiplier)
     if not active.any():
         return zeros
-    if isinstance(u, LogUtility):
-        return _log_energies(u, gains, shares, link, multiplier, m_zero, active)
-    energy_marginal = u.energy_marginal(shares, gains, link)
 
-    def marginal(energy):
-        return energy_marginal(np.where(active, energy, 0.0))
-
-    s_hi = _widen(lambda s: active & (marginal(s) >= multiplier), np.ones((n, nu)), 2.0, 120,
-                  ConvergenceError("energy bracket not found in 120 doublings"))
-    energies = _bisect(lambda s: active & (marginal(s) > multiplier), zeros, s_hi, INNER_BISECT)
-    return np.where(active, energies, 0.0)
-
-
-def _log_energies(u, gains, shares, link, multiplier, m_zero, active):
-    """Log-family energies on the ``active`` entries, 0 elsewhere.
-
-    With t = ln(1 + energy·snr/share) and r = share/(A ln2), the energy
-    condition marginal_energy == multiplier reads
-    g(t) = t + log1p(r t) - c = 0 with c = ln(m_zero/multiplier) > 0, an
-    exact form of its Lambert-W solution (Corless et al., On the Lambert W
-    function, 1996).  g is concave and increasing with g' >= 1, so Newton's
-    method started below the root rises monotonically to it.  It starts at
-    the larger of two lower bounds: its first step from t = 0, c/(1+r), and
-    c - log1p(r c), which holds because the root is at most c.
-    """
     def at(grid):
         return np.broadcast_to(grid, active.shape)[active]
 
     snr, share = at(gains) / link.effective_noise, at(shares)
-    r = share / (LN2 * at(u.concavity))
     c = np.log(at(m_zero)) - np.log(at(multiplier))
-    t = np.maximum(c / (1.0 + r), c - np.log1p(r * c))
-    done = np.zeros(t.size, dtype=bool)
-    for _ in range(ENERGY_NEWTON):
-        rt = r * t
-        step = (c - t - np.log1p(rt)) / (1.0 + r / (1.0 + rt))
-        t = np.where(done, t, t + step)
-        done |= step <= 4 * EPS * t
-        if done.all():
-            break
-    if not done.all():
-        raise ConvergenceError(
-            f"energy Newton solve unconverged after {ENERGY_NEWTON} steps on {(~done).sum()} entries",
-            diagnostics={"t": t[~done].tolist(), "c": c[~done].tolist(), "r": r[~done].tolist()},
-        )
+    if isinstance(u, LogUtility):
+        r = share / (LN2 * at(u.concavity))
+        t = np.maximum(c / (1.0 + r), c - np.log1p(r * c))
+        done = np.zeros(t.size, dtype=bool)
+        for _ in range(ENERGY_NEWTON):
+            rt = r * t
+            step = (c - t - np.log1p(rt)) / (1.0 + r / (1.0 + rt))
+            t = np.where(done, t, t + step)
+            done |= step <= 4 * EPS * t
+            if done.all():
+                break
+        if not done.all():
+            raise ConvergenceError(
+                f"energy Newton solve unconverged after {ENERGY_NEWTON} steps on {(~done).sum()} entries",
+                diagnostics={"t": t[~done].tolist(), "c": c[~done].tolist(), "r": r[~done].tolist()},
+            )
+    else:
+        rate = np.zeros(active.shape)
+
+        def slope(t):
+            rate[active] = share * t / LN2
+            return u.derivative(rate)[active]
+
+        slope_zero = slope(0.0)
+        t = _bisect(lambda t: t - np.log(slope(t) / slope_zero) < c, np.zeros(c.size), c, INNER_BISECT)
     with np.errstate(over="ignore"):
         energies = np.expm1(t) * share / snr
+        # expm1 overflows before the energy does
+        over = np.isinf(energies)
+        energies[over] = np.exp(t[over] + np.log(share[over] / snr[over]))
     if not np.all(np.isfinite(energies)):
         raise ConvergenceError(
             "energy is not a finite float", diagnostics={"t": t[~np.isfinite(energies)].tolist()}

@@ -57,6 +57,8 @@ def allocate_ts(peak_rates, utilities, weights=None):
     ----------
     peak_rates : array_like, shape (N,) or (T, N)
         Full-frame rate of each user, >= 0 and not NaN: one frame, or one row per frame.
+        A frame where users with positive weight have an infinite rate is
+        split among them by weight, with multiplier inf.
     utilities : Utility or sequence of Utility
         One utility for all users (shared, or array-valued such as a
         ``LogUtility`` with one concavity per user), or one per user.
@@ -91,13 +93,21 @@ def allocate_ts(peak_rates, utilities, weights=None):
         if w.shape != (n,) or not np.all(w >= 0):
             raise ValueError("weights must be a nonnegative length-N vector")
 
+    # an infinite rate with positive weight makes the objective infinite at
+    # any positive share: such a frame goes to those users, split by weight
+    infinite = np.isinf(rows)
+    hot = (infinite & (w > 0)).any(axis=1)
+    rows = np.where(infinite, 0.0, rows)
     zero_marginals = w * u.marginal_share(rows, 0.0)
     # every weighted rate is zero: any share vector is optimal
-    degenerate = np.all(zero_marginals == 0.0, axis=1)
+    degenerate = np.all(zero_marginals == 0.0, axis=1) & ~hot
     solve = _logfamily_closed_form if isinstance(u, LogUtility) else _bisect_multiplier
-    shares, lam, iterations = solve(rows, u, w, zero_marginals, degenerate)
+    shares, lam, iterations = solve(rows, u, w, zero_marginals, degenerate | hot)
     shares[degenerate] = 1.0 / n
     lam[degenerate] = 0.0
+    split = np.where(infinite[hot], w, 0.0)
+    shares[hot] = split / split.sum(axis=1, keepdims=True)
+    lam[hot] = np.inf
 
     if single:
         shares, lam, iterations = shares[0], lam[0], int(iterations[0])
@@ -106,15 +116,15 @@ def allocate_ts(peak_rates, utilities, weights=None):
     )
 
 
-def _logfamily_closed_form(c, u, w, zero_marginals, degenerate):
+def _logfamily_closed_form(c, u, w, zero_marginals, skip):
     """Active-set water filling for U_i = ln(1 + r/A_i), all rows at once.
 
     On the active set S the stationarity w_i c_i / (A_i + rho_i c_i) = lam
     gives rho_i = w_i/lam - A_i/c_i, and the simplex constraint pins
     lam = sum_S w_i / (1 + sum_S A_i/c_i).  Users enter S in decreasing
     order of their marginal at zero share until the water level exceeds the
-    next user's zero marginal.  Degenerate rows come out as garbage and are
-    overwritten by the caller.
+    next user's zero marginal.  The ``skip`` rows (degenerate, or with an
+    infinite rate) come out as garbage and are overwritten by the caller.
     """
     t, n = c.shape
     rows = np.arange(t)[:, None]
@@ -149,7 +159,7 @@ def _logfamily_closed_form(c, u, w, zero_marginals, degenerate):
     return shares, lam, np.zeros(t, dtype=int)
 
 
-def _bisect_multiplier(c, u, w, zero_marginals, degenerate):
+def _bisect_multiplier(c, u, w, zero_marginals, skip):
     """Monotone bisection on the multiplier for generic concave utilities.
 
     All rows bisect in lockstep; a row is frozen once its shares meet the
@@ -169,7 +179,7 @@ def _bisect_multiplier(c, u, w, zero_marginals, degenerate):
     lo = np.min(np.where(zero_marginals > 0, w * u.marginal_share(c, 1.0), np.inf), axis=1)
     lam = np.zeros(t)
     iterations = np.zeros(t, dtype=int)
-    pending = np.flatnonzero(~degenerate)
+    pending = np.flatnonzero(~skip)
     for it in range(1, MAX_BISECT + 1):
         if pending.size == 0:
             break
@@ -193,7 +203,7 @@ def _bisect_multiplier(c, u, w, zero_marginals, degenerate):
                 "residual": float(shares_at(0.5 * (lo[[worst]] + hi[[worst]]), [worst]).sum() - 1.0),
             },
         )
-    rows = np.flatnonzero(~degenerate)
+    rows = np.flatnonzero(~skip)
     shares = np.zeros((t, n))
     shares[rows] = shares_at(lam[rows], rows)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -86,31 +86,15 @@ class Utility(ABC):
         Zero-share entries must carry zero energy (energy with no transmit
         time is undefined); gain 0 gives marginal 0.
         """
-        return self.energy_marginal(share, gain, link)(energy)
-
-    def energy_marginal(self, share, gain, link: LinkBudget):
-        """``marginal_energy`` at this share and gain, as a function of energy.
-
-        What does not depend on the energy is computed once, so a solve that
-        varies only the energy pays for its terms alone.
-        """
         share = np.asarray(share, dtype=float)
+        energy = np.asarray(energy, dtype=float)
+        if ((share == 0) & (energy > 0)).any():
+            raise ValueError("energy > 0 with share == 0 is undefined")
         snr = np.asarray(gain, dtype=float) / link.effective_noise
-        zero = share == 0
-        any_zero = zero.any()
-        live = share > 0
-        divisor = np.where(live, share, 1.0)
-
-        def marginal(energy):
-            energy = np.asarray(energy, dtype=float)
-            if any_zero and (zero & (energy > 0)).any():
-                raise ValueError("energy > 0 with share == 0 is undefined")
-            x = np.where(live, energy * snr / divisor, 0.0)
-            rate = share * np.log1p(x) / LN2
-            out = np.where(live, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
-            return out if out.ndim else float(out)
-
-        return marginal
+        x = per_share(energy * snr, share)
+        rate = share * np.log1p(x) / LN2
+        out = np.where(share > 0, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
+        return out if out.ndim else float(out)
 
     def share_marginal(self, energy, gain, link: LinkBudget):
         """d/d(share) of value_with_energy at this energy and gain, as a

@@ -224,8 +224,9 @@ class TestApplyPolicy:
 class TestUnbracketedEnergy:
     """Multipliers so small that the energy root lies beyond 2**120.
 
-    The generic bisection cannot bracket such a root and raises; the log
-    family solves it exactly, up to the float range.
+    The root lies in t = ln(1 + energy·snr/share) in [0, ln(m_zero/multiplier)]
+    for every utility, so the generic bisection and the log family's Newton
+    solve both reach it, up to the float range.
     """
 
     GAINS = np.array([1.0, 2.0])
@@ -239,17 +240,17 @@ class TestUnbracketedEnergy:
         )
         return apply_policy(policy, self.GAINS, utility, LINK)
 
-    def test_raises_instead_of_bisecting_outside_the_bracket(self):
-        with pytest.raises(ConvergenceError, match="bracket"):
-            self.apply_at(1e-40, ScaledLog(1.0, scale=1.0))
-
-    def assert_kkt(self, multiplier):
-        u = LogUtility(1.0)
-        shares, energies = self.apply_at(multiplier)
+    def assert_kkt(self, multiplier, u=LogUtility(1.0)):
+        shares, energies = self.apply_at(multiplier, u)
         assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
         assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), multiplier, rtol=1e-9)
         share_marginals = u.share_marginal(energies, self.GAINS, LINK)(shares)
         assert_allclose(share_marginals[0], share_marginals[1], rtol=1e-9)
+
+    def test_generic_utility_meets_kkt_past_the_old_bracket(self):
+        # 120 energy doublings could not bracket these roots
+        for multiplier in (1e-40, 1e-100):
+            self.assert_kkt(multiplier, ScaledLog(1.0, scale=1.0))
 
     def test_small_bracketed_multiplier_meets_kkt(self):
         self.assert_kkt(1e-30)
@@ -262,6 +263,19 @@ class TestUnbracketedEnergy:
         with pytest.raises(ConvergenceError, match="finite") as info:
             self.apply_at(1e-320)
         assert min(info.value.diagnostics["t"]) > np.log(np.finfo(float).max)
+
+    def test_finite_energy_past_expm1_overflow(self):
+        from utilsched.powercontrol import _waterfill_energies
+
+        link = LinkBudget(snr_gap_db=3.0)
+        gains, shares, multiplier, a = np.full((1, 2), 1e100), np.full((1, 2), 0.5), 1e-220, 0.1
+        energies = _waterfill_energies(LogUtility(a), gains, shares, link, multiplier)
+        assert np.all((1e217 < energies) & (energies < 2e217))
+        # energy·snr overflows, so check the energy condition in logs
+        snr = gains / link.effective_noise
+        t = np.log(energies) + np.log(snr / shares)
+        log_marginal = np.log(snr / np.log(2.0)) - t - np.log(a + shares * t / np.log(2.0))
+        assert np.all(np.abs(log_marginal - np.log(multiplier)) <= 1e-12)
 
     def test_newton_cap_raises_with_diagnostics(self, monkeypatch):
         from utilsched import powercontrol

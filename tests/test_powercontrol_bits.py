@@ -3,10 +3,10 @@
 The sha256 of every solve's shares, energies, multipliers and objective
 trace is stored in ``data/powercontrol_bits.json``.  The cases cover the
 uplink and downlink solves at N=1 (no share solve), N=2 (the one-dimensional
-share bisection) and N=3 (the nested general share bisection), and
-``apply_policy`` on fresh gains, whose energy water filling widens its
-bracket past 1.  A refactor of the solvers must reproduce every hash;
-``test_log_newton.py`` compares the same cases with the generic solvers.
+share bisection) and N=3 (the general share step), and ``apply_policy`` on
+fresh gains against the trained multipliers.  A refactor of the solvers must
+reproduce every hash; ``test_log_newton.py`` compares the same cases with
+the generic solvers.
 
 To record the hashes again, run ``python tests/test_powercontrol_bits.py``
 with ``src`` on ``PYTHONPATH``.

@@ -81,6 +81,23 @@ class TestAllocate:
         with pytest.raises(ValueError, match="must be"):
             allocate_ts(rates, LogUtility(0.1), weights=weights)
 
+    @pytest.mark.parametrize("utilities", [
+        LogUtility(0.1), [LogUtility(0.1), ScaledLog(0.2), LogUtility(1.0)],
+    ], ids=["closed-form", "bisection"])
+    def test_infinite_rates_take_the_frame_by_weight(self, utilities):
+        rates = np.array([[np.inf, 1.0, np.inf], [np.inf, 2.0, 0.0], [1.0, 2.0, 3.0]])
+        weights = np.array([1.0, 2.0, 3.0])
+        shares, solve = allocate_ts(rates, utilities, weights=weights)
+        assert np.array_equal(shares[:2], [[0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
+        assert np.array_equal(solve.multiplier[:2], [np.inf, np.inf]) and solve.degenerate == 0
+        alone, _ = allocate_ts(rates[2], utilities, weights=weights)
+        assert np.array_equal(shares[2], alone)
+        # with zero weight an infinite rate counts as no rate at all
+        weights[0] = 0.0
+        shares, _ = allocate_ts(rates[1], utilities, weights=weights)
+        zeroed, _ = allocate_ts([0.0, 2.0, 0.0], utilities, weights=weights)
+        assert np.array_equal(shares, zeroed)
+
 
 class TestKkt:
     def test_random_instances(self):

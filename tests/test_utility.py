@@ -201,7 +201,7 @@ def _reference_marginal_share(u, share, energy, gain, link):
 
 
 class TestHoistedMarginals:
-    """``energy_marginal``/``share_marginal`` return the marginals bit for bit."""
+    """``marginal_energy``/``share_marginal`` return the marginals bit for bit."""
 
     link = LinkBudget(snr_gap_db=3.0)
     UTILITIES = {
@@ -226,11 +226,9 @@ class TestHoistedMarginals:
     def test_energy_marginal_bits(self, name):
         u = self.UTILITIES[name]
         shares, gains, energies = self._grid()
-        at = u.energy_marginal(shares, gains, self.link)
-        for scale in (0.0, 0.5, 1.0, 7.0):  # one function, many energies
+        for scale in (0.0, 0.5, 1.0, 7.0):
             energy = energies * scale
             direct = u.marginal_energy(shares, energy, gains, self.link)
-            assert np.array_equal(at(energy), direct)
             assert np.array_equal(direct, _reference_marginal_energy(u, shares, energy, gains, self.link))
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
@@ -245,19 +243,17 @@ class TestHoistedMarginals:
 
     def test_scalars_stay_floats(self):
         u = LogUtility(0.5)
-        value = u.energy_marginal(0.4, 2.0, self.link)(1.0)
-        assert type(value) is float and value == u.marginal_energy(0.4, 1.0, 2.0, self.link)
+        value = u.marginal_energy(0.4, 1.0, 2.0, self.link)
+        assert type(value) is float and value == _reference_marginal_energy(u, 0.4, 1.0, 2.0, self.link)
         value = u.share_marginal(1.0, 2.0, self.link)(0.4)
         assert type(value) is float and value == _reference_marginal_share(u, 0.4, 1.0, 2.0, self.link)
-        assert u.energy_marginal(0.4, 0.0, self.link)(1.0) == 0.0
+        assert u.marginal_energy(0.4, 1.0, 0.0, self.link) == 0.0
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
     def test_invalid_arguments_raise(self, name):
         u = self.UTILITIES[name]
         shares, gains, energies = self._grid()
         energy = energies + 1.0  # energy on the zero shares
-        with pytest.raises(ValueError, match="share == 0"):
-            u.energy_marginal(shares, gains, self.link)(energy)
         with pytest.raises(ValueError, match="share == 0"):
             u.marginal_energy(shares, energy, gains, self.link)
         negative = shares.copy()
