@@ -95,8 +95,13 @@ def adapt_weights(
             best = (weights.copy(), report)
         if spread <= tolerance:
             return weights, report
-        weights = weights * np.exp(step * (avg.mean() - avg))
-        weights /= weights.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = weights * np.exp(step * (avg.mean() - avg))
+            weights /= weights.sum()
+        if not np.all(np.isfinite(weights)):
+            raise ConvergenceError(
+                f"weight update {it + 1} with step {step:.3g} overflowed", diagnostics=best[1]
+            )
     raise ConvergenceError(
         f"utility spread {best[1].spread:.3g} > tolerance {tolerance:.3g} "
         f"after {max_iterations} weight updates",

@@ -30,8 +30,8 @@ inside the bisection bracket; any other utility bisects it, evaluating a
 share marginal built once for the solve (``share_marginal``).
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
-the same alternation and freezes a frame once a round reproduces its
-shares and energies bit for bit, re-solving only the frames still moving.
+the same alternation, each frame until its own round drift is at most
+``tol``, so a frame's result does not depend on its batch.
 """
 
 from dataclasses import dataclass, field
@@ -101,17 +101,6 @@ def _bisect(rises, lo, hi, steps):
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _widen(short, x, factor, steps, error):
-    """Scale the entries of ``x`` where ``short(x)`` holds by ``factor`` until
-    none is short; raise ``error`` if one still is after ``steps`` scalings."""
-    for _ in range(steps + 1):
-        need = short(x)
-        if not need.any():
-            return x
-        x = np.where(need, factor * x, x)
-    raise error
 
 
 def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
@@ -335,7 +324,8 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     Raises
     ------
     DegenerateBudgetError
-        If a user's budget cannot be met (all gains or shares zero).
+        If a user's budget cannot be met (all gains or shares zero) or is
+        too small for the bisected water level to resolve.
     """
     return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False)
 
@@ -374,13 +364,21 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
     def spent_at(lam):
         return spent(_waterfill_energies(u, gains, shares, link, lam[None, :], m_zero))
 
-    lo = _widen(lambda lam: spent_at(lam) < budgets, peak, 0.5, 200,
-                DegenerateBudgetError("budget unreachable while lowering the water level"))
+    # halve each level that spends short of its budget until none does
+    lo = peak
+    while (short := spent_at(lo) < budgets).any():
+        lo = np.where(short, 0.5 * lo, lo)
+        if np.any(lo == 0):
+            raise DegenerateBudgetError("budget unreachable while lowering the water level")
     # spending too much means the multiplier is too low
     lam = _bisect(lambda lam: spent_at(lam) > budgets, lo, peak, ENERGY_BISECT)
     energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
+    total = spent(energies)
+    if np.any(total <= 0):
+        who = "pooled budget" if pooled else f"budgets of users {np.flatnonzero(total <= 0).tolist()}"
+        raise DegenerateBudgetError(f"the bisected water level cannot resolve the {who}")
     # absorb the last bisection gap so the budgets are met exactly
-    return energies * (budgets / spent(energies)), lam
+    return energies * (budgets / total), lam
 
 
 def sample_objective(gains, shares, energies, utilities, link: LinkBudget) -> float:
@@ -472,18 +470,20 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
     The training multipliers stay fixed; per-frame shares and energies are
     re-solved against them by alternating the two block updates, which is
     coordinate ascent on each frame's multiplier-penalized utility, for at
-    most ``max_rounds`` rounds, stopping once no frame's shares and energies
-    move by more than ``tol``.  Training stops on its own objective
+    most ``max_rounds`` rounds.  Training stops on its own objective
     threshold, so a training sample's result can differ from its stored one.
 
-    Both block updates act on each frame alone, so a frame whose round
-    reproduces its shares and energies bit for bit is at a fixed point:
-    it is frozen and later rounds re-solve only the frames still moving.
-    The result equals re-solving every frame in every round.
+    Both block updates act on each frame alone, and so does the stop rule: a
+    frame leaves the loop once its largest share change plus its largest
+    energy change in a round is at most ``tol`` (at ``tol=0``, once a round
+    reproduces it bit for bit).  A frame's result is therefore the same in
+    any batch.
 
     ``frame_gains`` may be one frame (N,) or a batch (n_frames, N); the
     result matches the input's shape.
     """
+    if not tol >= 0 or max_rounds < 1:
+        raise ValueError(f"apply_policy needs tol >= 0 and max_rounds >= 1, got {tol}, {max_rounds}")
     g = np.asarray(frame_gains, dtype=float)
     single = g.ndim == 1
     if single:
@@ -501,13 +501,9 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
         gains, old_shares, old_energies = g[live], shares[live], energies[live]
         new_shares = update_shares(gains, old_energies, u, link)
         new_energies = _waterfill_energies(u, gains, new_shares, link, lam)
-        # frozen frames would add exactly 0 to each term
-        drift = np.abs(new_shares - old_shares).max() + np.abs(new_energies - old_energies).max()
+        drift = np.abs(new_shares - old_shares).max(axis=1) + np.abs(new_energies - old_energies).max(axis=1)
         shares[live], energies[live] = new_shares, new_energies
-        if drift <= tol:
-            break
-        moved = (new_shares != old_shares).any(axis=1) | (new_energies != old_energies).any(axis=1)
-        live = live[moved]
+        live = live[~(drift <= tol)]  # a NaN drift is still moving
     if single:
         return shares[0], energies[0]
     return shares, energies

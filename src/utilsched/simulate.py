@@ -10,12 +10,12 @@ occupancy.
 
 Frames run in blocks of ``BLOCK_FRAMES`` (fewer for quantized sharing when
 users x slots is large, so that a block holds at most ``MAX_SLOT_ENTRIES``
-slot increments): gains are drawn frame by frame, then a block is allocated
-(one batched call for time sharing and for quantized sharing; only gradient
-scheduling, whose state carries from one frame to the next, still decides
-frame by frame) and reduced with array operations that add its frames onto
-the running sums in frame order, so the statistics match a frame-by-frame
-loop bit for bit.
+slot increments; ``MAX_JTPC_ENTRIES // users`` for joint power control):
+gains are drawn frame by frame, then a block is allocated in one batched
+call (only gradient scheduling, whose state carries from one frame to the
+next, decides frame by frame) and reduced with array operations that add its
+frames onto the running sums in frame order, so the statistics match a
+frame-by-frame loop bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +39,9 @@ TRAINING_FRAME_OFFSET = 2**32
 # frames allocated and reduced per array pass: enough that the per-block
 # overhead is negligible, few enough that a block's temporaries stay small
 BLOCK_FRAMES = 256
-# memory-sizing knobs: slots per frame, and jtpc training gains held at once
+# memory-sizing knobs: slots per frame, and jtpc gains held at once (training or one block)
 MAX_SLOTS = 1024
-MAX_TRAINING_ENTRIES = 10**6
+MAX_JTPC_ENTRIES = 10**6
 # qtsl slot increments (users x slots) per frame, and the most a block holds
 MAX_SLOT_ENTRIES = 2**16
 
@@ -109,11 +109,11 @@ class ExperimentConfig:
             )
         if self.policy == "jtpc":
             if not (
-                1 <= self.training_samples and self.training_samples * self.n_users <= MAX_TRAINING_ENTRIES
+                1 <= self.training_samples and self.training_samples * self.n_users <= MAX_JTPC_ENTRIES
             ):
                 raise ValueError(
                     f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
-                    f"{MAX_TRAINING_ENTRIES}, got {self.training_samples} * {self.n_users}"
+                    f"{MAX_JTPC_ENTRIES}, got {self.training_samples} * {self.n_users}"
                 )
             if self.max_iterations < 1:
                 raise ValueError(f"jtpc needs max_iterations >= 1, got {self.max_iterations}")
@@ -186,11 +186,10 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             training, utility, budgets, link,
             threshold=config.delta, max_iterations=config.max_iterations,
         )
-        all_gains = _block_gains(model, config.seed, range(config.n_frames))
-        all_shares, all_energies = apply_policy(policy, all_gains, utility, link)
-        all_rates = achievable_rate(all_gains, per_share(all_energies, all_shares), link)
-        for frames in _frame_blocks(config.n_frames):
-            yield all_shares[frames.start : frames.stop], all_rates[frames.start : frames.stop]
+        for frames in _frame_blocks(config.n_frames, MAX_JTPC_ENTRIES // n):
+            gains = _block_gains(model, config.seed, frames)
+            shares, energies = apply_policy(policy, gains, utility, link)
+            yield shares, achievable_rate(gains, per_share(energies, shares), link)
         return
 
     if config.policy == "qtsl":

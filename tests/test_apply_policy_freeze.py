@@ -1,13 +1,12 @@
-"""``apply_policy`` freezes converged frames without changing a bit.
+"""``apply_policy`` solves each frame alone.
 
-A frame leaves the round loop once a round reproduces its shares and
-energies exactly.  Both block updates act on each frame alone, so a frozen
-frame would only have reproduced itself in every later round.  The sha256
-digests in ``data/apply_policy_bits.json`` were recorded by a round loop
-that re-solved every frame in every round, at the default ``tol`` and
-``max_rounds=300``, and must still match.  The batches mix frames that
-freeze after 1 or 2 rounds, after tens of rounds and after 100 to 300
-rounds; the N=2 batches also hold a frame still moving at the cap.
+A frame leaves the round loop once its largest share change plus its
+largest energy change in a round is at most ``tol``.  Both block updates
+act on each frame alone, so a frame's result does not depend on the batch
+it comes in.  The sha256 digests in ``data/apply_policy_bits.json`` pin the
+results at the default ``tol`` and ``max_rounds=300``.  The batches mix
+frames that stop after 1 or 2 rounds, after tens of rounds and after 89 to
+300 rounds; the N=2 batches also hold a frame still moving at the cap.
 
 To record the digests again, run ``python tests/test_apply_policy_freeze.py``
 with ``src`` on ``PYTHONPATH``.
@@ -15,6 +14,7 @@ with ``src`` on ``PYTHONPATH``.
 
 import functools
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -27,10 +27,11 @@ from utilsched import (
 from utilsched.simulate import TRAINING_FRAME_OFFSET
 
 DATA = Path(__file__).parent / "data" / "apply_policy_bits.json"
+DEFAULT_TOL = inspect.signature(apply_policy).parameters["tol"].default
 # users -> (training samples, fresh frames).  At 0 dB and seed 0, N=2 frames
-# 58, 116, 123 and 162 take 100-300 rounds, and frame 123 (downlink) or 19,
-# 116, 123 and 162 (uplink) are still moving at the cap; the N=3 batches
-# stop on ``tol`` after 32 to 35 rounds with three or four frames still moving
+# 58, 116, 123 and 162 take 89-300 rounds, and frame 123 (downlink) or 162
+# (uplink) is still moving at the cap; at N=3 frame 3 takes 35 (uplink) or
+# 32 (downlink) rounds and the others 2 to 16
 SETUPS = {
     2: (60, list(range(24)) + [58, 116, 123, 162]),
     3: (40, [0, 1, 3, 4, 7, 11]),
@@ -93,18 +94,38 @@ def test_every_case_recorded(digests):
 
 
 @pytest.mark.parametrize("name", ["uplink", "downlink"])
-@pytest.mark.parametrize("seed", range(8))
-def test_subset_equals_rows_of_full_batch(name, seed):
-    # tol=0 stops only once every frame is frozen or at the cap; a positive
-    # tol couples the frames through the batch's largest drift
+@pytest.mark.parametrize("seed, tol", [  # tol 0 keeps the seed alone as its id
+    *(pytest.param(seed, 0.0, id=str(seed)) for seed in range(8)),
+    *(pytest.param(seed, DEFAULT_TOL, id=f"{seed}-tol{DEFAULT_TOL:g}") for seed in range(8)),
+])
+def test_subset_equals_rows_of_full_batch(name, seed, tol):
     policies, gains, utility, link = _setup(2)
     rng = np.random.default_rng(seed)
     rows = rng.permutation(len(gains))[: rng.integers(1, 9)]
     max_rounds = int(rng.integers(1, 26))
-    full = apply_policy(policies[name], gains, utility, link, tol=0.0, max_rounds=max_rounds)
-    part = apply_policy(policies[name], gains[rows], utility, link, tol=0.0, max_rounds=max_rounds)
+    full = apply_policy(policies[name], gains, utility, link, tol=tol, max_rounds=max_rounds)
+    part = apply_policy(policies[name], gains[rows], utility, link, tol=tol, max_rounds=max_rounds)
     for whole, subset in zip(full, part):
         assert np.array_equal(whole[rows], subset)
+
+
+@pytest.mark.parametrize("n_users", sorted(SETUPS))
+@pytest.mark.parametrize("name", ["uplink", "downlink"])
+def test_each_row_equals_its_one_frame_call(name, n_users):
+    policies, gains, utility, link = _setup(n_users)
+    shares, energies = apply_policy(policies[name], gains, utility, link)
+    for row, frame in enumerate(gains):
+        one_shares, one_energies = apply_policy(policies[name], frame, utility, link)
+        assert np.array_equal(shares[row], one_shares)
+        assert np.array_equal(energies[row], one_energies)
+
+
+@pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": -1e-12}, {"max_rounds": 0}],
+                         ids=["nan-tol", "negative-tol", "zero-rounds"])
+def test_invalid_stop_rule_raises(bad):
+    policies, gains, utility, link = _setup(2)
+    with pytest.raises(ValueError):
+        apply_policy(policies["uplink"], gains, utility, link, **bad)
 
 
 def test_empty_batch():

@@ -328,10 +328,10 @@ class TestMemoryKnobsRejectedUpFront:
         assert "config error" in capsys.readouterr().err
 
     def test_bounds_themselves_accepted(self):
-        from utilsched.simulate import MAX_SLOTS, MAX_TRAINING_ENTRIES, ExperimentConfig
+        from utilsched.simulate import MAX_JTPC_ENTRIES, MAX_SLOTS, ExperimentConfig
 
         ExperimentConfig(n_users=2, policy="qtsl", n_slots=MAX_SLOTS)
-        ExperimentConfig(n_users=2, policy="jtpc", training_samples=MAX_TRAINING_ENTRIES // 2)
+        ExperimentConfig(n_users=2, policy="jtpc", training_samples=MAX_JTPC_ENTRIES // 2)
         # the training set is sized only for jtpc
         ExperimentConfig(n_users=1000, policy="ts", training_samples=10_000)
 

@@ -151,6 +151,14 @@ class TestAdaptWeights:
             )
         assert excinfo.value.diagnostics.spread > 0
 
+    def test_overflowing_update_raises_with_best_report(self):
+        # the first update drops one weight to about 3e-25, that user's
+        # average utility to 0, and the second update's exp overflows
+        model = ChannelModel.from_snr_db(np.array([10.0, 10.0]), LINK)
+        with pytest.raises(ConvergenceError, match=r"weight update 2 with step 1e\+03") as excinfo:
+            adapt_weights(model, LogUtility(0.1), LINK, n_samples=200, step=1000.0)
+        assert excinfo.value.diagnostics.iterations == 0
+
     def test_tolerance_validated(self):
         model = ChannelModel.from_snr_db(np.array([0.0]), LINK)
         with pytest.raises(ValueError):

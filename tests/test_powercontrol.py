@@ -160,6 +160,21 @@ class TestUpdateEnergies:
         with pytest.raises(DegenerateBudgetError):
             update_energies(gains, shares, LogUtility(1.0), [1.0, 1.0], LINK)
 
+    @pytest.mark.parametrize("budget", [1e60, 1e80])
+    def test_huge_budget_met(self, budget):
+        # the water level falls past 200 halvings of its peak
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        energies, _ = update_energies(gains, shares, LogUtility(0.1), budget, LinkBudget(snr_gap_db=8.2))
+        assert_allclose(energies.mean(axis=0), [budget, budget], rtol=1e-12)
+
+    def test_budget_below_the_level_resolution_raises(self):
+        # the bisected level lands at user 1's peak marginal, where nothing is spent
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        with pytest.raises(DegenerateBudgetError, match=r"users \[1\]"):
+            update_energies(gains, shares, LogUtility(0.1), 1e-20, LinkBudget(snr_gap_db=8.2))
+
     def test_budget_validation(self):
         gains = np.ones((2, 1))
         shares = np.ones((2, 1))

@@ -92,6 +92,23 @@ class TestRunExperiment:
         assert stats.taur > 0
         assert stats.n_frames == 300
 
+    def test_jtpc_blocks_match_one_block(self, monkeypatch):
+        import utilsched.simulate as simulate_module
+
+        config = ExperimentConfig(
+            n_users=2, mean_snr_db=0.0, policy="jtpc", n_frames=250, training_samples=60,
+        )
+        one = run_experiment(config)
+        calls = []
+        apply = simulate_module.apply_policy
+        monkeypatch.setattr(simulate_module, "apply_policy", lambda *a: calls.append(1) or apply(*a))
+        # 100-frame blocks: 100 + 100 + 50
+        monkeypatch.setattr(simulate_module, "MAX_JTPC_ENTRIES", 200)
+        blocks = run_experiment(config)
+        assert len(calls) == 3
+        for name in ("taur", "mean_rate", "rate_std", "occupancy", "mean_utility"):
+            assert np.array_equal(getattr(blocks, name), getattr(one, name)), name
+
 
 class TestSweep:
     def test_single_entry_matches_run(self):
