@@ -364,7 +364,6 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
     def spent_at(lam):
         return spent(_waterfill_energies(u, gains, shares, link, lam[None, :], m_zero))
 
-    # halve each level that spends short of its budget until none does
     lo = peak
     while (short := spent_at(lo) < budgets).any():
         lo = np.where(short, 0.5 * lo, lo)

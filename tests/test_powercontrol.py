@@ -169,7 +169,7 @@ class TestUpdateEnergies:
         assert_allclose(energies.mean(axis=0), [budget, budget], rtol=1e-12)
 
     def test_budget_below_the_level_resolution_raises(self):
-        # the bisected level lands at user 1's peak marginal, where nothing is spent
+        # user 1's bisected level lies within rounding of its peak marginal, where nothing is spent
         gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
         shares = np.full((50, 2), 0.5)
         with pytest.raises(DegenerateBudgetError, match=r"users \[1\]"):
