@@ -36,45 +36,3 @@ from .quantized import QuantizedScheduler, bin_expected_utility, slot_compositio
 from .simulate import ExperimentConfig, SimStats, SweepEntry, run_experiment, sweep
 from .timeshare import MultiplierSolve, aggregate_utility, allocate_ts
 from .utility import LogUtility, Utility
-
-__all__ = [
-    "__version__",
-    "ChannelModel",
-    "LinkBudget",
-    "Quantizer",
-    "achievable_rate",
-    "equal_prob_thresholds",
-    "quantize",
-    "sample_gains",
-    "ConvergenceError",
-    "DegenerateBudgetError",
-    "InvariantError",
-    "FairnessReport",
-    "adapt_weights",
-    "average_utilities",
-    "GradientSchedulerState",
-    "select_user",
-    "update_state",
-    "IterationTrace",
-    "PowerPolicy",
-    "apply_policy",
-    "constant_power_objective",
-    "sample_objective",
-    "solve_downlink",
-    "solve_uplink",
-    "update_energies",
-    "update_shares",
-    "QuantizedScheduler",
-    "bin_expected_utility",
-    "slot_compositions",
-    "ExperimentConfig",
-    "SimStats",
-    "SweepEntry",
-    "run_experiment",
-    "sweep",
-    "MultiplierSolve",
-    "aggregate_utility",
-    "allocate_ts",
-    "LogUtility",
-    "Utility",
-]

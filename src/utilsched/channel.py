@@ -18,16 +18,6 @@ import numpy as np
 
 LN2 = np.log(2.0)
 
-__all__ = [
-    "LinkBudget",
-    "ChannelModel",
-    "Quantizer",
-    "achievable_rate",
-    "sample_gains",
-    "equal_prob_thresholds",
-    "quantize",
-]
-
 
 @dataclass(frozen=True)
 class LinkBudget:

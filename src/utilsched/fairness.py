@@ -21,8 +21,6 @@ from .errors import ConfigError, ConvergenceError
 from .timeshare import allocate_ts
 from .utility import as_utility
 
-__all__ = ["FairnessReport", "average_utilities", "adapt_weights"]
-
 
 @dataclass
 class FairnessReport:

@@ -13,8 +13,6 @@ import numpy as np
 
 from .utility import as_utility
 
-__all__ = ["GradientSchedulerState", "select_user", "update_state"]
-
 
 @dataclass(frozen=True)
 class GradientSchedulerState:

@@ -10,8 +10,6 @@ import numpy as np
 
 from .utility import as_utility
 
-__all__ = ["grid_search_shares", "central_difference"]
-
 
 def grid_search_shares(peak_rates, utilities, step=1e-3, weights=None):
     """Best share vector on the simplex grid with the given step (N <= 3).

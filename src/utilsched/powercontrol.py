@@ -43,18 +43,6 @@ from .errors import ConvergenceError, DegenerateBudgetError
 from .timeshare import allocate_ts
 from .utility import LogUtility, as_utility
 
-__all__ = [
-    "PowerPolicy",
-    "IterationTrace",
-    "solve_uplink",
-    "solve_downlink",
-    "update_shares",
-    "update_energies",
-    "sample_objective",
-    "apply_policy",
-    "constant_power_objective",
-]
-
 SHARE_BISECT = 50
 INNER_BISECT = 46
 ENERGY_BISECT = 56

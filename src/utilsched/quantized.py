@@ -21,8 +21,6 @@ import numpy as np
 from .channel import LinkBudget, Quantizer, achievable_rate
 from .utility import as_utility
 
-__all__ = ["bin_expected_utility", "QuantizedScheduler", "slot_compositions"]
-
 QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
 EXHAUSTIVE_MAX_USERS = 4

@@ -30,8 +30,6 @@ from .quantized import QuantizedScheduler
 from .timeshare import allocate_ts
 from .utility import LogUtility, per_share
 
-__all__ = ["ExperimentConfig", "SimStats", "SweepEntry", "run_experiment", "sweep"]
-
 POLICIES = ("ts", "gs", "jtpc", "qtsl")
 
 # frame indices at and above this offset are reserved for training draws

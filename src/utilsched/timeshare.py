@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .utility import LogUtility, as_utility
 
-__all__ = ["MultiplierSolve", "allocate_ts", "aggregate_utility"]
-
 SIMPLEX_TOL = 1e-12
 # a 1e300 rate opens a bracket that takes ~log2(1e300 / 1e-12) = 1,035 halvings
 MAX_BISECT = 1100

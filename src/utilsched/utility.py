@@ -28,8 +28,6 @@ import numpy as np
 
 from .channel import LN2, LinkBudget
 
-__all__ = ["Utility", "LogUtility", "as_utility"]
-
 
 class Utility(ABC):
     """Increasing, differentiable, strictly concave utility of rate."""
