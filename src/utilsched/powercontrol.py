@@ -31,7 +31,7 @@ share marginal built once for the solve (``share_marginal``).
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation, each frame until its own round drift is at most
-``tol``, so a frame's result does not depend on its batch.
+``APPLY_TOL``, so a frame's result does not depend on its batch.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +49,8 @@ ENERGY_BISECT = 56
 # caps of the log family's Newton solves, far above the steps they take
 ENERGY_NEWTON = 100
 SHARE_NEWTON = 100
+# apply_policy drops a frame once its round drift is at most this
+APPLY_TOL = 1e-11
 EPS = np.finfo(float).eps
 
 
@@ -450,9 +452,8 @@ def solve_downlink(gains, utilities, total_budget, link: LinkBudget, threshold=1
     return _solve(gains, utilities, total_budget, link, threshold, max_iterations, pooled=True)
 
 
-def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
-                 tol=1e-11, max_rounds=300):
-    """Evaluate the converged policy on fresh gain vectors.
+def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget, max_rounds=300):
+    """Evaluate the converged policy on a batch of fresh gain vectors.
 
     The training multipliers stay fixed; per-frame shares and energies are
     re-solved against them by alternating the two block updates, which is
@@ -462,19 +463,16 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
 
     Both block updates act on each frame alone, and so does the stop rule: a
     frame leaves the loop once its largest share change plus its largest
-    energy change in a round is at most ``tol`` (at ``tol=0``, once a round
-    reproduces it bit for bit).  A frame's result is therefore the same in
-    any batch.
+    energy change in a round is at most ``APPLY_TOL``.  A frame's result is
+    therefore the same in any batch.
 
-    ``frame_gains`` may be one frame (N,) or a batch (n_frames, N); the
-    result matches the input's shape.
+    ``frame_gains`` is (n_frames, N); so are the returned shares and energies.
     """
-    if not tol >= 0 or max_rounds < 1:
-        raise ValueError(f"apply_policy needs tol >= 0 and max_rounds >= 1, got {tol}, {max_rounds}")
     g = np.asarray(frame_gains, dtype=float)
-    single = g.ndim == 1
-    if single:
-        g = g[None, :]
+    if g.ndim != 2 or max_rounds < 1:
+        raise ValueError(
+            f"apply_policy needs (n_frames, N) gains and max_rounds >= 1, got shape {g.shape}, {max_rounds}"
+        )
     n, nu = g.shape
     u = as_utility(utilities, nu)
     lam = policy.multipliers[None, :]
@@ -490,9 +488,7 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget,
         new_energies = _waterfill_energies(u, gains, new_shares, link, lam)
         drift = np.abs(new_shares - old_shares).max(axis=1) + np.abs(new_energies - old_energies).max(axis=1)
         shares[live], energies[live] = new_shares, new_energies
-        live = live[~(drift <= tol)]  # a NaN drift is still moving
-    if single:
-        return shares[0], energies[0]
+        live = live[~(drift <= APPLY_TOL)]  # a NaN drift is still moving
     return shares, energies
 
 

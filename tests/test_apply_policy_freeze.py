@@ -1,10 +1,10 @@
 """``apply_policy`` solves each frame alone.
 
 A frame leaves the round loop once its largest share change plus its
-largest energy change in a round is at most ``tol``.  Both block updates
-act on each frame alone, so a frame's result does not depend on the batch
-it comes in.  The sha256 digests in ``data/apply_policy_bits.json`` pin the
-results at the default ``tol`` and ``max_rounds=300``.  The batches mix
+largest energy change in a round is at most ``powercontrol.APPLY_TOL``.
+Both block updates act on each frame alone, so a frame's result does not
+depend on the batch it comes in.  The sha256 digests in
+``data/apply_policy_bits.json`` pin the results at ``max_rounds=300``.  The batches mix
 frames that stop after 1 or 2 rounds, after tens of rounds and after 89 to
 300 rounds; the N=2 batches also hold a frame still moving at the cap.
 
@@ -14,7 +14,6 @@ with ``src`` on ``PYTHONPATH``.
 
 import functools
 import hashlib
-import inspect
 import json
 from pathlib import Path
 
@@ -22,12 +21,12 @@ import numpy as np
 import pytest
 
 from utilsched import (
-    ExperimentConfig, LogUtility, apply_policy, sample_gains, solve_downlink, solve_uplink,
+    ExperimentConfig, LogUtility, apply_policy, powercontrol, sample_gains, solve_downlink, solve_uplink,
 )
 from utilsched.simulate import TRAINING_FRAME_OFFSET
 
 DATA = Path(__file__).parent / "data" / "apply_policy_bits.json"
-DEFAULT_TOL = inspect.signature(apply_policy).parameters["tol"].default
+DEFAULT_TOL = powercontrol.APPLY_TOL
 # users -> (training samples, fresh frames).  At 0 dB and seed 0, N=2 frames
 # 58, 116, 123 and 162 take 89-300 rounds, and frame 123 (downlink) or 162
 # (uplink) is still moving at the cap; at N=3 frame 3 takes 35 (uplink) or
@@ -98,13 +97,16 @@ def test_every_case_recorded(digests):
     *(pytest.param(seed, 0.0, id=str(seed)) for seed in range(8)),
     *(pytest.param(seed, DEFAULT_TOL, id=f"{seed}-tol{DEFAULT_TOL:g}") for seed in range(8)),
 ])
-def test_subset_equals_rows_of_full_batch(name, seed, tol):
+def test_subset_equals_rows_of_full_batch(name, seed, tol, monkeypatch):
+    # the stop rule reads each frame's own drift at any threshold; at 0 it
+    # drops a frame once a round reproduces it bit for bit
+    monkeypatch.setattr(powercontrol, "APPLY_TOL", tol)
     policies, gains, utility, link = _setup(2)
     rng = np.random.default_rng(seed)
     rows = rng.permutation(len(gains))[: rng.integers(1, 9)]
     max_rounds = int(rng.integers(1, 26))
-    full = apply_policy(policies[name], gains, utility, link, tol=tol, max_rounds=max_rounds)
-    part = apply_policy(policies[name], gains[rows], utility, link, tol=tol, max_rounds=max_rounds)
+    full = apply_policy(policies[name], gains, utility, link, max_rounds=max_rounds)
+    part = apply_policy(policies[name], gains[rows], utility, link, max_rounds=max_rounds)
     for whole, subset in zip(full, part):
         assert np.array_equal(whole[rows], subset)
 
@@ -114,14 +116,13 @@ def test_subset_equals_rows_of_full_batch(name, seed, tol):
 def test_each_row_equals_its_one_frame_call(name, n_users):
     policies, gains, utility, link = _setup(n_users)
     shares, energies = apply_policy(policies[name], gains, utility, link)
-    for row, frame in enumerate(gains):
-        one_shares, one_energies = apply_policy(policies[name], frame, utility, link)
-        assert np.array_equal(shares[row], one_shares)
-        assert np.array_equal(energies[row], one_energies)
+    for row in range(len(gains)):
+        one_shares, one_energies = apply_policy(policies[name], gains[row:row + 1], utility, link)
+        assert np.array_equal(shares[row:row + 1], one_shares)
+        assert np.array_equal(energies[row:row + 1], one_energies)
 
 
-@pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": -1e-12}, {"max_rounds": 0}],
-                         ids=["nan-tol", "negative-tol", "zero-rounds"])
+@pytest.mark.parametrize("bad", [{"max_rounds": 0}], ids=["zero-rounds"])
 def test_invalid_stop_rule_raises(bad):
     policies, gains, utility, link = _setup(2)
     with pytest.raises(ValueError):

@@ -231,9 +231,12 @@ class TestApplyPolicy:
         gains = np.array([[1.0, 2.0], [2.0, 1.0]])
         u = LogUtility(0.5)
         policy, _ = solve_uplink(gains, u, [1.0, 1.0], LINK)
-        shares, energies = apply_policy(policy, np.array([1.5, 0.5]), u, LINK)
-        assert shares.shape == (2,) and energies.shape == (2,)
+        shares, energies = apply_policy(policy, np.array([[1.5, 0.5]]), u, LINK)
+        assert shares.shape == (1, 2) and energies.shape == (1, 2)
         assert abs(shares.sum() - 1.0) <= 1e-9
+        # one frame is a one-row batch: a bare gain vector is rejected
+        with pytest.raises(ValueError, match="n_frames"):
+            apply_policy(policy, np.array([1.5, 0.5]), u, LINK)
 
 
 class TestUnbracketedEnergy:
@@ -253,7 +256,8 @@ class TestUnbracketedEnergy:
             gains=self.GAINS[None, :], shares=np.full((1, 2), 0.5), energies=np.ones((1, 2)),
             budgets=np.ones(2), multipliers=np.full(2, multiplier),
         )
-        return apply_policy(policy, self.GAINS, utility, LINK)
+        shares, energies = apply_policy(policy, self.GAINS[None, :], utility, LINK)
+        return shares[0], energies[0]
 
     def assert_kkt(self, multiplier, u=LogUtility(1.0)):
         shares, energies = self.apply_at(multiplier, u)
