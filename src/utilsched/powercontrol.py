@@ -359,8 +359,9 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
         lo = np.where(short, 0.5 * lo, lo)
         if np.any(lo == 0):
             raise DegenerateBudgetError("budget unreachable while lowering the water level")
-    # spending too much means the multiplier is too low
-    lam = _bisect(lambda lam: spent_at(lam) > budgets, lo, peak, ENERGY_BISECT)
+    # the level before the last halving was short of its budget, so the root
+    # lies in [lo, 2 lo]; spending too much means the multiplier is too low
+    lam = _bisect(lambda lam: spent_at(lam) > budgets, lo, 2 * lo, ENERGY_BISECT)
     energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
     total = spent(energies)
     if np.any(total <= 0):

@@ -168,6 +168,19 @@ class TestUpdateEnergies:
         energies, _ = update_energies(gains, shares, LogUtility(0.1), budget, LinkBudget(snr_gap_db=8.2))
         assert_allclose(energies.mean(axis=0), [budget, budget], rtol=1e-12)
 
+    @pytest.mark.parametrize("budget", [1e20, 1e40, 1e60, 1e80])
+    def test_huge_budget_equalizes_marginals(self, budget):
+        # the level is bisected within its last halving, not on [lo, peak],
+        # so the final rescale leaves the water-filling condition intact
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        u, link = LogUtility(0.1), LinkBudget(snr_gap_db=8.2)
+        energies, _ = update_energies(gains, shares, u, budget, link)
+        marginals = u.marginal_energy(shares, energies, gains, link)
+        for user in range(2):
+            active = marginals[energies[:, user] > 0, user]
+            assert active.max() <= active.min() * (1 + 1e-12)
+
     def test_budget_below_the_level_resolution_raises(self):
         # user 1's bisected level lies within rounding of its peak marginal, where nothing is spent
         gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
