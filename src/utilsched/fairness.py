@@ -18,6 +18,7 @@ import numpy as np
 
 from .channel import ChannelModel, LinkBudget, achievable_rate, sample_gains
 from .errors import ConfigError, ConvergenceError
+from .simulate import MAX_JTPC_ENTRIES
 from .timeshare import allocate_ts
 from .utility import as_utility
 
@@ -79,6 +80,11 @@ def adapt_weights(
             f"max_iterations >= 0, got {tolerance}, {step}, {n_samples} and {max_iterations}"
         )
     nu = model.n_users
+    # gains, rates and shares of every sample are held at once
+    if n_samples * nu > MAX_JTPC_ENTRIES:
+        raise ConfigError(
+            f"adapt_weights needs n_samples * users <= {MAX_JTPC_ENTRIES}, got {n_samples} * {nu}"
+        )
     u = as_utility(utilities, nu)
     gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])
     rates = achievable_rate(gains, link.transmit_power, link)

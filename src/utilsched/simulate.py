@@ -37,7 +37,8 @@ TRAINING_FRAME_OFFSET = 2**32
 # frames allocated and reduced per array pass: enough that the per-block
 # overhead is negligible, few enough that a block's temporaries stay small
 BLOCK_FRAMES = 256
-# memory-sizing knobs: slots per frame, and jtpc gains held at once (training or one block)
+# memory-sizing knobs: slots per frame, and gains held at once (jtpc training or one
+# jtpc block; the fairness sample set)
 MAX_SLOTS = 1024
 MAX_JTPC_ENTRIES = 10**6
 # qtsl slot increments (users x slots) per frame, and the most a block holds
