@@ -208,6 +208,13 @@ class TestFairnessCommand:
         status = main(["fairness", "--users", "3", "--mean-snr-db", "0,10"])
         assert status == 2
 
+    def test_unconverged_run_exit_3_and_no_csv(self, tmp_path, capsys):
+        status = main(["fairness", "--users", "2", "--mean-snr-db", "0,10", "--frames", "50",
+                       "--max-iterations", "0", "--tolerance", "1e-9", "--output", str(tmp_path)])
+        assert status == 3
+        assert "numeric error (ConvergenceError)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSelfcheck:
     def test_all_suites_pass(self, capsys):
@@ -263,6 +270,14 @@ class TestReplayValidation:
         path.write_text(json.dumps(data))
         assert main(["replay", str(path), "--output", str(tmp_path / "again")]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_failed_rerun_status_passed_through(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["ts-sweep", "--mean-snr-db", "3080", "--frames", "10", "--output", str(out)]) == 3
+        manifest = out / "ts_sweep.manifest.json"
+        assert main(["replay", str(manifest), "--output", str(tmp_path / "again")]) == 3
+        assert "replay verified" not in capsys.readouterr().out
 
 
 class TestInvalidConfigRejectedUpFront:
@@ -324,6 +339,13 @@ class TestMemoryKnobsRejectedUpFront:
     def test_exit_2_and_no_csv(self, tmp_path, argv, capsys):
         out = tmp_path / "run"
         assert main(argv + ["--frames", "20", "--output", str(out)]) == 2
+        assert not out.exists() or not list(out.glob("*.csv"))
+        assert "config error" in capsys.readouterr().err
+
+    def test_fairness_sample_set(self, tmp_path, capsys):
+        # rejected before any of the 500,001 frames is drawn
+        out = tmp_path / "run"
+        assert main(["fairness", "--users", "2", "--frames", "500001", "--output", str(out)]) == 2
         assert not out.exists() or not list(out.glob("*.csv"))
         assert "config error" in capsys.readouterr().err
 
