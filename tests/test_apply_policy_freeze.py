@@ -4,9 +4,10 @@ A frame leaves the round loop once its largest share change plus its
 largest energy change in a round is at most ``powercontrol.APPLY_TOL``.
 Both block updates act on each frame alone, so a frame's result does not
 depend on the batch it comes in.  The sha256 digests in
-``data/apply_policy_bits.json`` pin the results at ``max_rounds=300``.  The batches mix
-frames that stop after 1 or 2 rounds, after tens of rounds and after 89 to
-300 rounds; the N=2 batches also hold a frame still moving at the cap.
+``data/apply_policy_bits.json`` pin the results at ``max_rounds=300``.
+The batches mix frames that stop after 1 or 2 rounds, after tens of rounds
+and after 89 to 300 rounds; the N=2 batches also hold a frame still moving
+at the cap.
 
 To record the digests again, run ``python tests/test_apply_policy_freeze.py``
 with ``src`` on ``PYTHONPATH``.
