@@ -12,7 +12,7 @@ concave objective in (shares, energies), where energy = share * power:
 2. per sample, re-optimize shares given energies (simplex water filling)
 3. record the sample-average objective
 4. per user, re-optimize energies given shares: a water-filling multiplier is
-   bisected until the sample-average energy meets the power budget
+   solved until the sample-average energy meets the power budget
 5. repeat 2-4 until the objective increment drops below the threshold
 
 The uplink constrains each user's average energy separately; the downlink
@@ -20,9 +20,11 @@ variant pools everything under one total-power multiplier.  Because every
 block update is an exact maximization, the recorded objective sequence is
 nondecreasing, which the tests assert directly.
 
-Every inner solve is vectorized across the whole sample grid.  The budget
-water levels, the simplex multiplier and the two-user share split are
-bisected (``_bisect``).  Each energy is the root of one equation in its
+Every inner solve is vectorized across the whole sample grid.  Each budget
+water level is solved in its logarithm, by safeguarded Newton steps for the
+log family and by bisection for any other utility (``_level_step``).  The
+simplex multiplier and the two-user share split are bisected (``_bisect``).
+Each energy is the root of one equation in its
 log-SNR, bracketed in closed form for every utility: the log family solves
 it by Newton's method from below (its Lambert-W form), any other utility by
 bisection.  At N >= 3 the log family's share step is a Newton step kept
@@ -45,13 +47,18 @@ from .utility import LogUtility, as_utility
 
 SHARE_BISECT = 50
 INNER_BISECT = 46
-ENERGY_BISECT = 56
-# caps of the log family's Newton solves, far above the steps they take
+# caps of the log family's Newton solves and of the water-level solve, far
+# above the steps they take
 ENERGY_NEWTON = 100
 SHARE_NEWTON = 100
+LEVEL_STEPS = 100
 # apply_policy drops a frame once its round drift is at most this
 APPLY_TOL = 1e-11
 EPS = np.finfo(float).eps
+# the log of the smallest positive water level, the bottom of every level's bracket
+LOG_FLOOR = np.log(np.finfo(float).smallest_subnormal)
+# a budget water level settles once |ln(spent/budget)| is at most this
+LEVEL_TOL = 64 * EPS
 
 
 @dataclass
@@ -303,9 +310,19 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
 def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     """Optimal per-sample energies given fixed shares, meeting each budget.
 
-    For each user a positive multiplier is bisected until the sample-average
-    energy equals the budget; per-sample energies are the water-filling
-    inverse of the energy marginal at that multiplier.
+    For each user a positive multiplier (water level) is solved until the
+    sample-average energy meets the budget; per-sample energies are the
+    water-filling inverse of the energy marginal at that multiplier.
+
+    Each level solves f(y) = ln(spent/budget) = 0 in y = ln(level), inside a
+    bracket from ``LOG_FLOOR`` up to the log of the largest zero-energy
+    marginal, where nothing is spent, starting one below that top.  The log
+    family takes safeguarded Newton steps with the slope in closed form; any
+    other utility bisects y.  A level stops on its own residual, |f| <=
+    ``LEVEL_TOL``, or once its bracket closes to a few ulps, on the top of
+    that bracket; below a budget of about 1e-6, where ln(m_zero/level) keeps
+    only a few digits, the second rule ends the solve.  A final rescale
+    absorbs what is left, so the budgets are met exactly.
 
     Returns
     -------
@@ -315,7 +332,7 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     ------
     DegenerateBudgetError
         If a user's budget cannot be met (all gains or shares zero) or is
-        too small for the bisected water level to resolve.
+        too small for the water level to resolve.
     """
     return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False)
 
@@ -329,11 +346,9 @@ def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBud
 
 
 def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
-    """Bisect one water level per budget until the energy it governs meets it.
-
-    The uplink's N levels each govern one user's sample-average energy; the
-    pooled level governs the sample-average total over all users.
-    """
+    """Solve one water level per budget as ``update_energies`` describes: the
+    uplink's N levels each govern one user's sample-average energy, the pooled
+    level the sample-average total over all users."""
     gains = np.asarray(gains, dtype=float)
     shares = np.asarray(shares, dtype=float)
     n, nu = gains.shape
@@ -351,24 +366,66 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
         who = "no user can" if pooled else f"users {np.flatnonzero(peak <= 0).tolist()} cannot"
         raise DegenerateBudgetError(f"{who} spend any energy (zero gains or shares)")
 
-    def spent_at(lam):
-        return spent(_waterfill_energies(u, gains, shares, link, lam[None, :], m_zero))
-
-    lo = peak
-    while (short := spent_at(lo) < budgets).any():
-        lo = np.where(short, 0.5 * lo, lo)
-        if np.any(lo == 0):
-            raise DegenerateBudgetError("budget unreachable while lowering the water level")
-    # the level before the last halving was short of its budget, so the root
-    # lies in [lo, 2 lo]; spending too much means the multiplier is too low
-    lam = _bisect(lambda lam: spent_at(lam) > budgets, lo, 2 * lo, ENERGY_BISECT)
-    energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
-    total = spent(energies)
+    top = np.log(peak)  # nothing is spent at the top
+    y, lo, hi = top - 1.0, np.full(top.shape, LOG_FLOOR), top
+    for _ in range(LEVEL_STEPS):
+        lam = np.exp(y)
+        energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
+        total = spent(energies)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = np.log(total / budgets)
+            slope = (spent(_log_energy_slope(energies, shares, gains, link, lam)) / total
+                     if isinstance(u, LogUtility) else None)
+            y, lo, hi, settled = _level_step(y, f, slope, lo, hi)
+        if settled.all():
+            break
+    else:
+        raise ConvergenceError(f"water levels unsettled after {LEVEL_STEPS} steps", diagnostics={"f": f.tolist()})
     if np.any(total <= 0):
         who = "pooled budget" if pooled else f"budgets of users {np.flatnonzero(total <= 0).tolist()}"
-        raise DegenerateBudgetError(f"the bisected water level cannot resolve the {who}")
-    # absorb the last bisection gap so the budgets are met exactly
+        raise DegenerateBudgetError(f"the water level cannot resolve the {who}")
+    # absorb the last residual so the budgets are met exactly
     return energies * (budgets / total), lam
+
+
+def _log_energy_slope(energies, shares, gains, link, lam):
+    """d energy/d ln(lam) of the log family's water filling, per entry.
+
+    With w = energy + share/snr = e^t share/snr, the slope
+    -(e^t share/snr)/(1 + r/(1 + r t)) of the equation that
+    ``_waterfill_energies`` solves is -w/(1 + lam w), since its energy
+    condition makes r/(1 + r t) equal to lam w.
+    """
+    on = energies > 0
+    w = energies + np.divide(shares * link.effective_noise, gains, out=np.zeros(gains.shape), where=on)
+    return np.where(on, -w / (1.0 + lam * w), 0.0)
+
+
+def _level_step(y, f, slope, lo, hi):
+    """One step of the water-level solve: ``(y, lo, hi, settled)``.
+
+    ``y`` are the log-levels just evaluated and ``f`` their residuals; each
+    bracket (lo, hi) closes in on its root.  A level settles once |f| <=
+    ``LEVEL_TOL``, or once its bracket closes to a few ulps and it stands on
+    the bracket's top, the end that does not overspend.  Otherwise it takes a
+    Newton step where the slope df/dy is known and the step stays inside the
+    bracket ("rtsafe", Press et al., Numerical Recipes, 9.4), else it
+    bisects.  ln spent is concave near the top, so its step from an
+    overspent level can pass the top; there the step on spent itself is
+    taken, which stops short of the root because spent is convex in y.  A
+    step moves y by at least one ulp, so a root between two floats closes the
+    bracket.
+    """
+    lo, hi = np.where(f > 0, y, lo), np.where(f > 0, hi, y)
+    met = np.abs(f) <= LEVEL_TOL
+    closed = hi - lo <= 4 * EPS * np.maximum(np.abs(y), 1.0)
+    trial = 0.5 * (lo + hi)
+    if slope is not None:
+        newton = y - f / slope
+        newton = np.where((newton > lo) & (newton < hi), newton, y + np.expm1(-f) / slope)
+        newton = np.where(newton == y, np.nextafter(y, np.where(f > 0, hi, lo)), newton)
+        trial = np.where((newton > lo) & (newton < hi), newton, trial)
+    return np.where(met, y, np.where(closed, hi, trial)), lo, hi, met | closed & (y == hi)
 
 
 def sample_objective(gains, shares, energies, utilities, link: LinkBudget) -> float:

@@ -1,9 +1,10 @@
 """The log family's Newton solves against the generic bisection solvers.
 
-``powercontrol`` solves a ``LogUtility``'s energies and N >= 3 share steps
-by Newton's method; any other utility takes the fixed-step bisection, of
-the log-SNR t = ln(1 + energy·snr/share) on [0, ln(m_zero/multiplier)] for
-energies and of the share on [0, 1] for share steps.
+``powercontrol`` solves a ``LogUtility``'s energies, budget water levels
+and N >= 3 share steps by Newton's method; any other utility bisects, the
+log-SNR t = ln(1 + energy·snr/share) on [0, ln(m_zero/multiplier)] for
+energies, the log of each water level for budgets and the share on [0, 1]
+for share steps.
 ``ScaledLog(a, scale=1)`` is the same function as ``LogUtility(a)``, with
 the same float operations, so it reaches the bisection path with the log
 family's numbers.
@@ -11,8 +12,8 @@ family's numbers.
 The bisection stops at a bracket 2**-46 of its starting width, so the
 results agree to about 1e-14 in absolute terms, not relatively: a share or
 energy near 0 keeps only the bisection's absolute resolution.  The stated
-tolerances leave about 5x room over the largest difference seen (2.0e-13
-in energy, 1.5e-14 in share, 2.5e-15 relative in multiplier, 2.1e-16
+tolerances leave about 4x room over the largest difference seen (2.6e-13
+in energy, 2.2e-14 in share, 1.1e-14 relative in multiplier, 3.4e-16
 relative in objective).
 """
 
@@ -53,10 +54,10 @@ def test_digest_cases_match_generic_bisection(module):
 # property tests; hypothesis ships with the ``test`` extra only
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from utilsched import LinkBudget, LogUtility, update_shares  # noqa: E402
-from utilsched.powercontrol import _waterfill_energies  # noqa: E402
+from utilsched import LinkBudget, LogUtility, update_energies, update_shares  # noqa: E402
+from utilsched.powercontrol import _waterfill_energies, update_energies_pooled  # noqa: E402
 
 LINK = LinkBudget(snr_gap_db=3.0)
 
@@ -128,3 +129,31 @@ def test_n3_share_step_meets_kkt_and_matches_bisection(energies, gains, concavit
         inner = row[(share > 1e-6) & (share < 1.0)]
         if inner.size >= 2:
             assert inner.max() - inner.min() <= 1e-9 * inner.max()
+
+
+@st.composite
+def budget_problems(draw):
+    nu = draw(st.integers(1, 3))
+    gains = draw(grids(nu, log_uniform(1e-2, 1e2)))
+    assume(np.all(gains.max(axis=0) > 0))  # every user can spend
+    shares = draw(st.lists(st.lists(log_uniform(1e-3, 1.0), min_size=nu, max_size=nu),
+                           min_size=len(gains), max_size=len(gains)).map(np.array))
+    return gains, shares, draw(log_uniform(1e-2, 1e2)), draw(log_uniform(1e-6, 1e80))
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["uplink", "pooled"])
+@pytest.mark.parametrize("family", [LogUtility, lambda a: ScaledLog(a, scale=2.0)], ids=["log", "generic"])
+@settings(max_examples=40)
+@given(problem=budget_problems())
+def test_water_levels_meet_budgets(family, pooled, problem):
+    # Newton steps in the log of the level for LogUtility, bisection for ScaledLog
+    gains, shares, concavity, budget = problem
+    u = family(concavity)
+    if pooled:
+        energies, levels = update_energies_pooled(gains, shares, u, budget, LINK)
+        spent = energies.sum(axis=1).mean(keepdims=True)
+    else:
+        energies, levels = update_energies(gains, shares, u, budget, LINK)
+        spent = energies.mean(axis=0)
+    assert_allclose(spent, budget, rtol=1e-12)
+    assert np.all(energies >= 0.0) and np.all((levels > 0) & np.isfinite(levels))

@@ -15,7 +15,10 @@ from utilsched import (
     update_energies,
     update_shares,
 )
+from utilsched import powercontrol
+from utilsched.channel import sample_gains
 from utilsched.powercontrol import update_energies_pooled
+from utilsched.simulate import TRAINING_FRAME_OFFSET, ExperimentConfig
 from utilsched.utility import per_share
 
 from test_utility import ScaledLog
@@ -170,8 +173,8 @@ class TestUpdateEnergies:
 
     @pytest.mark.parametrize("budget", [1e20, 1e40, 1e60, 1e80])
     def test_huge_budget_equalizes_marginals(self, budget):
-        # the level is bisected within its last halving, not on [lo, peak],
-        # so the final rescale leaves the water-filling condition intact
+        # the level meets its own residual before the final rescale, so the
+        # rescale leaves the water-filling condition intact
         gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
         shares = np.full((50, 2), 0.5)
         u, link = LogUtility(0.1), LinkBudget(snr_gap_db=8.2)
@@ -195,6 +198,37 @@ class TestUpdateEnergies:
         shares = np.ones((2, 1))
         with pytest.raises(ValueError):
             update_energies(gains, shares, LogUtility(1.0), [0.0], LINK)
+
+    @pytest.mark.parametrize("budget", [1e-16, 1e-13, 1e-10])
+    def test_small_budget_met(self, budget):
+        # the levels settle on closed brackets, not on their residuals, and the rescale meets the budgets
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        energies, _ = update_energies(gains, shares, LogUtility(0.1), budget, LinkBudget(snr_gap_db=8.2))
+        assert_allclose(energies.mean(axis=0), [budget, budget], rtol=1e-12)
+
+    @pytest.mark.parametrize("budget", [1e20, 1e40, 1e60, 1e80])
+    def test_huge_pooled_budget_equalizes_marginals(self, budget):
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        u, link = LogUtility(0.1), LinkBudget(snr_gap_db=8.2)
+        energies, _ = update_energies_pooled(gains, shares, u, budget, link)
+        active = u.marginal_energy(shares, energies, gains, link)[energies > 0]
+        assert active.max() <= active.min() * (1 + 1e-12)
+
+    def test_default_training_update_makes_few_waterfilling_calls(self, monkeypatch):
+        # the default jtpc training set, at the shares of its first Gauss-Seidel step
+        config = ExperimentConfig(policy="jtpc")
+        frames = range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
+        gains = np.stack([sample_gains(config.channel(), config.seed, t) for t in frames])
+        u, link, budgets = config.utilities(), config.link(), config.per_user("power_budget")
+        shares = update_shares(gains, np.tile(budgets, (len(gains), 1)), u, link)
+        calls = []
+        waterfill = powercontrol._waterfill_energies
+        monkeypatch.setattr(powercontrol, "_waterfill_energies", lambda *args: calls.append(args) or waterfill(*args))
+        energies, _ = update_energies(gains, shares, u, budgets, link)
+        assert len(calls) <= 10
+        assert_allclose(energies.mean(axis=0), budgets, rtol=1e-12)
 
 
 class TestDownlink:
