@@ -59,6 +59,13 @@ FAIRNESS_KNOBS = ("tolerance", "step", "max_iterations")
 FAIRNESS_KEYS = {key: SWEEP_KEYS[key] for key in FAIRNESS_SHARED} | {
     key: inspect.signature(adapt_weights).parameters[key].default for key in FAIRNESS_KNOBS
 }
+# sweep subcommand -> (policy, help)
+SWEEPS = {
+    "ts-sweep": ("ts", "optimal time sharing sweep"),
+    "gs-sweep": ("gs", "gradient scheduling baseline sweep"),
+    "jtpc": ("jtpc", "joint time sharing and power control sweep"),
+    "qtsl": ("qtsl", "quantized time sharing with limited feedback sweep"),
+}
 # fairness reads a list on these keys as one value per user
 PER_USER = ("mean_snr_db", "concavity")
 # every key, parsed as the type of its default
@@ -153,9 +160,21 @@ class RunManifest:
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         try:
-            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+            manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
         except (OSError, ValueError, TypeError) as exc:  # unreadable, not UTF-8 JSON, or wrong keys
             raise ConfigError(f"{path}: not a readable manifest ({exc})")
+        if manifest.command not in (*SWEEPS, "fairness"):
+            raise ConfigError(f"{path}: command {manifest.command!r} is not one of {[*SWEEPS, 'fairness']}")
+        config = manifest.config
+        if not (isinstance(config, dict) and all(k in KEY_TYPES and isinstance(v, str) for k, v in config.items())):
+            raise ConfigError(f"{path}: config does not map known keys to str values")
+        name = manifest.output_csv
+        if not (isinstance(name, str) and Path(name).name == name and Path(name).suffix == ".csv"):
+            raise ConfigError(f"{path}: output_csv {name!r} is not a bare <name>.csv")
+        digest = manifest.sha256
+        if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+            raise ConfigError(f"{path}: sha256 {digest!r} is not 64 lowercase hex digits")
+        return manifest
 
 
 def _emit(out_dir: Path, tag: str, command: str, config: dict, header, rows):
@@ -247,13 +266,14 @@ def cmd_replay(args) -> int:
     for key, value in manifest.config.items():
         if key == "policy":  # implied by the subcommand itself
             continue
-        argv += [f"--{key.replace('_', '-')}", value.replace(";", ",")]
-    argv += ["--output", str(_out_dir(args)), "--tag", Path(manifest.output_csv).stem]
+        argv.append(f"--{key.replace('_', '-')}={value.replace(';', ',')}")
+    tag = Path(manifest.output_csv).stem
+    argv += ["--output", str(_out_dir(args)), f"--tag={tag}"]
     replay_args = parser.parse_args(argv)
     status = replay_args.handler(replay_args)
     if status != 0:
         return status
-    produced = _out_dir(args) / manifest.output_csv
+    produced = _out_dir(args) / f"{tag}.csv"  # the file the re-run wrote
     digest = hashlib.sha256(produced.read_bytes()).hexdigest()
     if digest != manifest.sha256:
         print(f"replay mismatch: {produced} sha256 {digest} != recorded {manifest.sha256}",
@@ -381,12 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, policy, doc in (
-        ("ts-sweep", "ts", "optimal time sharing sweep"),
-        ("gs-sweep", "gs", "gradient scheduling baseline sweep"),
-        ("jtpc", "jtpc", "joint time sharing and power control sweep"),
-        ("qtsl", "qtsl", "quantized time sharing with limited feedback sweep"),
-    ):
+    for name, (policy, doc) in SWEEPS.items():
         p = sub.add_parser(name, help=doc)
         _add_common(p)
         p.set_defaults(handler=lambda a, pol=policy: cmd_sweep(a, pol))

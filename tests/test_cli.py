@@ -271,6 +271,48 @@ class TestReplayValidation:
         assert main(["replay", str(path), "--output", str(tmp_path / "again")]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("config", {"frames": 100}),
+        ("config", ["frames", "100"]),
+        ("config", {"no_such_key": "1"}),
+        ("command", "nosuch"),
+        ("command", "replay"),
+        ("sha256", "d4b0c8c7"),
+        ("sha256", "D4B0C8C7943037E382F097075F64F2CF3739DBE3D5F17D4EF10D59FF2D41FE9E"),
+        ("output_csv", "sub/ts_sweep.csv"),
+        ("output_csv", "ts_sweep.json"),
+        ("output_csv", 5),
+    ], ids=["int-value", "list", "unknown-key", "unknown-command", "replay-command",
+            "short-hash", "upper-hash", "nested-csv", "not-csv", "int-csv"])
+    def test_malformed_manifest_exit_2_and_no_csv(self, tmp_path, capsys, field, value):
+        data = json.loads((DATA / "ts_sweep.manifest.json").read_text())
+        data[field] = dict(data["config"], **value) if isinstance(value, dict) else value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(["replay", str(path), "--output", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+        assert not (tmp_path / "again").exists()
+
+    def test_rerun_csv_is_the_one_hashed(self, tmp_path, capsys):
+        # a stale CSV with the recorded bytes sits where the manifest points;
+        # a nested output_csv is refused, and a bare one is overwritten by the
+        # re-run at seed 5, whose bytes differ
+        out = tmp_path / "again"
+        assert main(["replay", str(DATA / "ts_sweep.manifest.json"), "--output", str(out)]) == 0
+        recorded = (out / "ts_sweep.csv").read_bytes()
+        (out / "sub").mkdir()
+        (out / "sub" / "ts_sweep.csv").write_bytes(recorded)
+        data = json.loads((DATA / "ts_sweep.manifest.json").read_text())
+        data["config"]["seed"] = "5"
+        for name, status in (("sub/ts_sweep.csv", 2), ("ts_sweep.csv", 1)):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(dict(data, output_csv=name)))
+            capsys.readouterr()
+            assert main(["replay", str(path), "--output", str(out)]) == status
+            assert "replay verified" not in capsys.readouterr().out
+        assert (out / "ts_sweep.csv").read_bytes() != recorded
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_failed_rerun_status_passed_through(self, tmp_path, capsys):
         out = tmp_path / "run"
