@@ -313,6 +313,13 @@ class TestReplayValidation:
             assert "replay verified" not in capsys.readouterr().out
         assert (out / "ts_sweep.csv").read_bytes() != recorded
 
+    def test_negative_exponent_value_replays(self, tmp_path, capsys):
+        # the manifest records -1e-05, which argparse would read as a flag
+        out = tmp_path / "run"
+        assert main(["ts-sweep", "--mean-snr-db=-0.00001", "--frames", "20", "--output", str(out)]) == 0
+        assert main(["replay", str(out / "ts_sweep.manifest.json"), "--output", str(tmp_path / "again")]) == 0
+        assert "replay verified" in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_failed_rerun_status_passed_through(self, tmp_path, capsys):
         out = tmp_path / "run"
