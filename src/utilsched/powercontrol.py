@@ -24,12 +24,12 @@ Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``).  The
 simplex multiplier and the two-user share split are bisected (``_bisect``).
-Each energy is the root of one equation in its
-log-SNR, bracketed in closed form for every utility: the log family solves
-it by Newton's method from below (its Lambert-W form), any other utility by
-bisection.  At N >= 3 the log family's share step is a Newton step kept
-inside the bisection bracket; any other utility bisects it, evaluating a
-share marginal built once for the solve (``share_marginal``).
+Each energy is the root of one equation in its log-SNR, bracketed in closed
+form for every utility: the log family solves it by Newton's method from
+below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
+log family's share step is a Newton step kept inside the bisection bracket;
+any other utility bisects it, evaluating a share marginal built once for the
+solve (``share_marginal``).
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation, each frame until its own round drift is at most
@@ -314,15 +314,11 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     sample-average energy meets the budget; per-sample energies are the
     water-filling inverse of the energy marginal at that multiplier.
 
-    Each level solves f(y) = ln(spent/budget) = 0 in y = ln(level), inside a
-    bracket from ``LOG_FLOOR`` up to the log of the largest zero-energy
-    marginal, where nothing is spent, starting one below that top.  The log
-    family takes safeguarded Newton steps with the slope in closed form; any
-    other utility bisects y.  A level stops on its own residual, |f| <=
-    ``LEVEL_TOL``, or once its bracket closes to a few ulps, on the top of
-    that bracket; below a budget of about 1e-6, where ln(m_zero/level) keeps
-    only a few digits, the second rule ends the solve.  A final rescale
-    absorbs what is left, so the budgets are met exactly.
+    Each level solves ln(spent/budget) = 0 in the log of the level, between
+    ``LOG_FLOOR`` and the log of the largest zero-energy marginal, where
+    nothing is spent (``_level_step``).  It stops on its own residual, or
+    once its bracket closes to a few ulps, as it does below a budget of about
+    1e-6; a final rescale absorbs what is left.
 
     Returns
     -------
@@ -402,19 +398,17 @@ def _log_energy_slope(energies, shares, gains, link, lam):
 
 
 def _level_step(y, f, slope, lo, hi):
-    """One step of the water-level solve: ``(y, lo, hi, settled)``.
+    """One rtsafe step (Press et al., Numerical Recipes, 9.4) of the level
+    solve at log-levels ``y`` with residuals ``f``: ``(y, lo, hi, settled)``.
 
-    ``y`` are the log-levels just evaluated and ``f`` their residuals; each
-    bracket (lo, hi) closes in on its root.  A level settles once |f| <=
-    ``LEVEL_TOL``, or once its bracket closes to a few ulps and it stands on
-    the bracket's top, the end that does not overspend.  Otherwise it takes a
-    Newton step where the slope df/dy is known and the step stays inside the
-    bracket ("rtsafe", Press et al., Numerical Recipes, 9.4), else it
-    bisects.  ln spent is concave near the top, so its step from an
-    overspent level can pass the top; there the step on spent itself is
-    taken, which stops short of the root because spent is convex in y.  A
-    step moves y by at least one ulp, so a root between two floats closes the
-    bracket.
+    A level settles once |f| <= ``LEVEL_TOL``, or on the top of its bracket,
+    the end that does not overspend, once that closes to a few ulps.  Else
+    it takes the Newton step where ``slope`` (df/dy) is known and the step
+    stays in the bracket, or bisects.  Where the step on ln spent leaves the
+    bracket it steps on spent itself: ln spent is concave near the top, so
+    its step from an overspent level can pass the top, but spent is convex
+    in y, so its step from there stops short of the root.  A step moves y by
+    at least one ulp, so a root between two floats closes the bracket.
     """
     lo, hi = np.where(f > 0, y, lo), np.where(f > 0, hi, y)
     met = np.abs(f) <= LEVEL_TOL
