@@ -22,8 +22,11 @@ nondecreasing, which the tests assert directly.
 
 Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
-log family and by bisection for any other utility (``_level_step``).  The
-simplex multiplier and the two-user share split are bisected (``_bisect``).
+log family and by bisection for any other utility (``_level_step``); a
+level whose energies pass the float range counts as overspent.  The simplex
+multiplier and the two-user share split are bisected (``_bisect``).  Each
+midpoint of the split lies strictly inside (0, 1), so its steps evaluate the
+interior share marginal alone (``interior_share_marginal``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
@@ -43,7 +46,7 @@ import numpy as np
 from .channel import LN2, LinkBudget, achievable_rate
 from .errors import ConvergenceError, DegenerateBudgetError
 from .timeshare import allocate_ts
-from .utility import LogUtility, as_utility
+from .utility import LogUtility, as_utility, interior_share_marginal
 
 SHARE_BISECT = 50
 INNER_BISECT = 46
@@ -126,15 +129,20 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
 
 
 def _update_shares_pair(u, gains, energies, link, active):
-    """Equalize the two marginals by bisection on the first user's share."""
+    """Equalize the two marginals by bisection on the first user's share.
+
+    Each midpoint is a dyadic number strictly inside (0, 1), and so is its
+    complement: both shares are exact and positive, so each step evaluates
+    the interior marginal alone, on one (n, 2) grid.
+    """
     n = gains.shape[0]
+    snr = np.multiply(energies, gains) / link.effective_noise
     rho = np.empty((n, 2))
-    marginal = u.share_marginal(energies, gains, link)
 
     def rises(mid):
         rho[:, 0] = mid
         rho[:, 1] = 1.0 - mid
-        m = marginal(rho)
+        m = interior_share_marginal(u, snr / rho, rho)
         return m[:, 0] > m[:, 1]
 
     first = _bisect(rises, np.zeros(n), np.ones(n), SHARE_BISECT)
@@ -253,7 +261,8 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     function, 1996): concave with g' >= 1, so Newton's method from the lower
     bound max(c/(1+r), c - log1p(r c)) rises monotonically to the root.  Any
     other utility bisects g on [0, c].  Raises ``ConvergenceError`` if a
-    Newton solve hits its cap or an energy is not a finite float.
+    Newton solve hits its cap or an energy is not a finite float; the
+    latter's diagnostics hold the energies, inf past the float range.
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
@@ -298,12 +307,12 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
         # expm1 overflows before the energy does
         over = np.isinf(energies)
         energies[over] = np.exp(t[over] + np.log(share[over] / snr[over]))
-    if not np.all(np.isfinite(energies)):
-        raise ConvergenceError(
-            "energy is not a finite float", diagnostics={"t": t[~np.isfinite(energies)].tolist()}
-        )
     out = np.zeros(active.shape)
     out[active] = energies
+    bad = ~np.isfinite(energies)
+    if bad.any():
+        # a level search reads these energies, inf past the float range, as overspent
+        raise ConvergenceError("energy is not a finite float", diagnostics={"t": t[bad].tolist(), "energies": out})
     return out
 
 
@@ -318,7 +327,8 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     ``LOG_FLOOR`` and the log of the largest zero-energy marginal, where
     nothing is spent (``_level_step``).  It stops on its own residual, or
     once its bracket closes to a few ulps, as it does below a budget of about
-    1e-6; a final rescale absorbs what is left.
+    1e-6; a final rescale absorbs what is left.  A level whose energies pass
+    the float range counts as overspent.
 
     Returns
     -------
@@ -329,6 +339,8 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     DegenerateBudgetError
         If a user's budget cannot be met (all gains or shares zero) or is
         too small for the water level to resolve.
+    ConvergenceError
+        If the energies that meet the budgets are not all finite floats.
     """
     return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False)
 
@@ -353,8 +365,19 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
     if np.any(budgets <= 0):
         raise ValueError("power budgets must be > 0")
 
-    def spent(energies):
+    def mean(energies):
         return energies.sum(axis=1).mean(keepdims=True) if pooled else energies.mean(axis=0)
+
+    def spent(energies):
+        with np.errstate(over="ignore"):
+            total = mean(energies)
+            over = np.isinf(total)
+            if over.any():
+                # a sum of finite energies can overflow where their mean does
+                # not: sum those again at an exact power-of-two scale
+                scale = 2.0 ** np.ceil(np.log2(energies.size))
+                total[over] = (mean(energies / scale) * scale)[over]
+        return total
 
     m_zero = u.marginal_energy(shares, np.zeros((n, nu)), gains, link)
     peak = np.array([m_zero.max()]) if pooled else m_zero.max(axis=0)
@@ -366,7 +389,12 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
     y, lo, hi = top - 1.0, np.full(top.shape, LOG_FLOOR), top
     for _ in range(LEVEL_STEPS):
         lam = np.exp(y)
-        energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
+        try:
+            energies = _waterfill_energies(u, gains, shares, link, lam[None, :], m_zero)
+        except ConvergenceError as err:
+            if "energies" not in err.diagnostics:
+                raise
+            energies = err.diagnostics["energies"]
         total = spent(energies)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = np.log(total / budgets)
@@ -381,7 +409,11 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
         who = "pooled budget" if pooled else f"budgets of users {np.flatnonzero(total <= 0).tolist()}"
         raise DegenerateBudgetError(f"the water level cannot resolve the {who}")
     # absorb the last residual so the budgets are met exactly
-    return energies * (budgets / total), lam
+    with np.errstate(over="ignore"):
+        energies = energies * (budgets / total)
+    if not np.all(np.isfinite(energies)):
+        raise ConvergenceError("energy is not a finite float", diagnostics={"spent": total.tolist()})
+    return energies, lam
 
 
 def _log_energy_slope(energies, shares, gains, link, lam):

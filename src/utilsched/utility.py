@@ -108,14 +108,17 @@ class Utility(ABC):
             share = np.asarray(share, dtype=float)
             if (share < 0).any():
                 raise ValueError("share must be >= 0")
-            x = per_share(snr, share)
-            full = np.log1p(x) / LN2
-            rate = share * full
-            out = self.derivative(rate) * (full - x / (LN2 * (1.0 + x)))
-            out = np.where(share > 0, out, edge)
+            out = np.where(share > 0, interior_share_marginal(self, per_share(snr, share), share), edge)
             return out if out.ndim else float(out)
 
         return marginal
+
+
+def interior_share_marginal(utility, x, share):
+    """The share marginal of ``utility`` at share > 0, given x = snr/share:
+    U'(share·log2(1 + x)) times the marginal rate log2(1 + x) - x/(ln2 (1 + x))."""
+    full = np.log1p(x) / LN2
+    return utility.derivative(share * full) * (full - x / (LN2 * (1.0 + x)))
 
 
 def per_share(value, share):

@@ -216,6 +216,29 @@ class TestUpdateEnergies:
         active = u.marginal_energy(shares, energies, gains, link)[energies > 0]
         assert active.max() <= active.min() * (1 + 1e-12)
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["uplink", "pooled"])
+    @pytest.mark.parametrize("utility", [LogUtility(0.1), ScaledLog(0.1, 2.0)], ids=["log", "generic"])
+    @pytest.mark.parametrize("budget", [1e305, 1e307])
+    def test_budget_near_the_float_range_met(self, budget, utility, pooled):
+        # trial levels whose energies overflow count as overspent, and the
+        # sample sums that overflow are taken again at a smaller scale; a
+        # RuntimeWarning fails the test
+        gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
+        shares = np.full((50, 2), 0.5)
+        update = update_energies_pooled if pooled else update_energies
+        energies, _ = update(gains, shares, utility, budget, LinkBudget(snr_gap_db=8.2))
+        spent = (energies / 50).sum(axis=0)  # the sum of energies / 50 does not overflow
+        assert_allclose(spent.sum() if pooled else spent, budget, rtol=1e-12)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["uplink", "pooled"])
+    @pytest.mark.parametrize("utility", [LogUtility(0.1), ScaledLog(0.1, 2.0)], ids=["log", "generic"])
+    def test_budget_past_the_float_range_raises(self, utility, pooled):
+        # one of four samples can spend, so its energy would have to be 4e308
+        gains = np.array([[1.0], [0.0], [0.0], [0.0]])
+        update = update_energies_pooled if pooled else update_energies
+        with pytest.raises(ConvergenceError, match="energy is not a finite float"):
+            update(gains, np.ones((4, 1)), utility, 1e308, LINK)
+
     def test_default_training_update_makes_few_waterfilling_calls(self, monkeypatch):
         # the default jtpc training set, at the shares of its first Gauss-Seidel step
         config = ExperimentConfig(policy="jtpc")
