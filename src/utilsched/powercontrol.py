@@ -24,9 +24,9 @@ Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent.  The simplex
-multiplier and the two-user share split are bisected (``_bisect``).  Each
-midpoint of the split lies strictly inside (0, 1), so its steps evaluate the
-interior share marginal alone (``interior_share_marginal``).
+multiplier and the two-user share split are bisected (``_bisect``); the
+split's midpoints lie inside (0, 1), so it evaluates the interior share
+marginal alone (``interior_share_marginal``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
@@ -131,9 +131,8 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
 def _update_shares_pair(u, gains, energies, link, active):
     """Equalize the two marginals by bisection on the first user's share.
 
-    Each midpoint is a dyadic number strictly inside (0, 1), and so is its
-    complement: both shares are exact and positive, so each step evaluates
-    the interior marginal alone, on one (n, 2) grid.
+    Each midpoint and its complement are dyadic numbers strictly inside
+    (0, 1), so each step evaluates the interior marginal alone.
     """
     n = gains.shape[0]
     snr = np.multiply(energies, gains) / link.effective_noise
