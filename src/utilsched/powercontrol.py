@@ -24,15 +24,14 @@ Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent.  The simplex
-multiplier and the two-user share split are bisected (``_bisect``); the
-split's midpoints lie inside (0, 1), so it evaluates the interior share
-marginal alone (``interior_share_marginal``).
+multiplier and the two-user share split are bisected (``_bisect``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
 log family's share step is a Newton step kept inside the bisection bracket;
-any other utility bisects it, evaluating a share marginal built once for the
-solve (``share_marginal``).
+any other utility bisects it.  Every share step evaluates one marginal,
+``interior_share_marginal``, on an SNR computed once per call: its shares
+lie in (0, 1], so no zero-share guard is needed.
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation, each frame until its own round drift is at most
@@ -109,10 +108,11 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     For each sample the simplex multiplier is bisected; each candidate
     multiplier is inverted through the (strictly decreasing) share marginal
     on [0, 1], by Newton steps for the log family and by an inner bisection
-    for any other utility.  With two users the simplex collapses
-    to one dimension and the marginals are equalized directly.  Users with
-    zero energy or zero gain in a sample get zero share there; samples where
-    nobody can transmit fall back to uniform shares.
+    for any other utility.  With two users the simplex collapses to one
+    dimension and the marginals are equalized directly.  Every step
+    evaluates ``interior_share_marginal`` on an SNR computed once per call.
+    Users with zero energy or zero gain in a sample get zero share there;
+    samples where nobody can transmit fall back to uniform shares.
     """
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -122,20 +122,20 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
 
     if nu == 1:
         return np.ones((n, 1))
+    snr = np.multiply(energies, gains) / link.effective_noise
     if nu == 2:
         # kept beside the general path: one bisection per sample, not a nested one, is far faster
-        return _update_shares_pair(u, gains, energies, link, active)
-    return _update_shares_general(u, gains, energies, link, active)
+        return _update_shares_pair(u, snr, active)
+    return _update_shares_general(u, snr, active)
 
 
-def _update_shares_pair(u, gains, energies, link, active):
+def _update_shares_pair(u, snr, active):
     """Equalize the two marginals by bisection on the first user's share.
 
     Each midpoint and its complement are dyadic numbers strictly inside
     (0, 1), so each step evaluates the interior marginal alone.
     """
-    n = gains.shape[0]
-    snr = np.multiply(energies, gains) / link.effective_noise
+    n = snr.shape[0]
     rho = np.empty((n, 2))
 
     def rises(mid):
@@ -152,11 +152,13 @@ def _update_shares_pair(u, gains, energies, link, active):
     return np.column_stack([first, 1.0 - first])
 
 
-def _update_shares_general(u, gains, energies, link, active):
-    n, nu = gains.shape
+def _update_shares_general(u, snr, active):
+    n, nu = snr.shape
     live = active.any(axis=1)
 
-    marginal = u.share_marginal(energies, gains, link)
+    def marginal(share):
+        return interior_share_marginal(u, snr / share, share)
+
     ones = np.ones((n, nu))
     m_low = marginal(ones / nu)
     m_one = marginal(ones)
@@ -167,7 +169,7 @@ def _update_shares_general(u, gains, energies, link, active):
     hi = np.maximum(hi, lo)
 
     if isinstance(u, LogUtility):
-        invert = _log_share_inverse(u, energies, gains, link)
+        invert = _log_share_inverse(u, snr)
     else:
         def invert(lam, solve):
             return _bisect(
@@ -188,7 +190,7 @@ def _update_shares_general(u, gains, energies, link, active):
     return shares
 
 
-def _log_share_inverse(u, energies, gains, link):
+def _log_share_inverse(u, snr):
     """Log-family inverse of the share marginal, ``(lam, solve) -> shares``.
 
     Each entry in the mask ``solve`` gets the share where its marginal
@@ -199,9 +201,9 @@ def _log_share_inverse(u, energies, gains, link):
     from the shares of the previous call, which the outer multiplier
     bisection makes close.  Entries outside ``solve`` are left undefined.
     """
-    snr = (energies * gains / link.effective_noise).ravel()
-    concavity = np.broadcast_to(u.concavity, gains.shape).ravel()
-    nu = gains.shape[1]
+    shape, nu = snr.shape, snr.shape[1]
+    concavity = np.broadcast_to(u.concavity, shape).ravel()
+    snr = snr.ravel()
     rho = np.full(snr.size, 0.5)
 
     def invert(lam, solve):
@@ -243,7 +245,7 @@ def _log_share_inverse(u, energies, gains, link):
                              "hi": hi[live].tolist()},
             )
         rho[idx] = s
-        return rho.reshape(gains.shape).copy()
+        return rho.reshape(shape).copy()
 
     return invert
 

@@ -94,25 +94,6 @@ class Utility(ABC):
         out = np.where(share > 0, self.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
         return out if out.ndim else float(out)
 
-    def share_marginal(self, energy, gain, link: LinkBudget):
-        """d/d(share) of value_with_energy at this energy and gain, as a
-        function of share; what does not depend on the share is computed once.
-
-        At share == 0 the function returns the one-sided limit: +inf when the
-        user has energy and gain to spend (any sliver of time helps), else 0.
-        """
-        snr = np.multiply(energy, gain) / link.effective_noise
-        edge = np.where(snr > 0, np.inf, 0.0)
-
-        def marginal(share):
-            share = np.asarray(share, dtype=float)
-            if (share < 0).any():
-                raise ValueError("share must be >= 0")
-            out = np.where(share > 0, interior_share_marginal(self, per_share(snr, share), share), edge)
-            return out if out.ndim else float(out)
-
-        return marginal
-
 
 def interior_share_marginal(utility, x, share):
     """The share marginal of ``utility`` at share > 0, given x = snr/share:

@@ -59,6 +59,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from utilsched import LinkBudget, LogUtility, update_energies, update_shares  # noqa: E402
 from utilsched.powercontrol import _waterfill_energies, update_energies_pooled  # noqa: E402
 
+from test_share_pair import reference_share_marginal  # noqa: E402
+
 LINK = LinkBudget(snr_gap_db=3.0)
 
 
@@ -121,7 +123,7 @@ def test_n3_share_step_meets_kkt_and_matches_bisection(energies, gains, concavit
     bisected = update_shares(gains, energies, generic_log(concavity), LINK)
     assert np.all(shares >= 0) and np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-12)
     assert_allclose(shares, bisected, rtol=0, atol=1e-9)
-    marginals = u.share_marginal(energies, gains, LINK)(shares)
+    marginals = reference_share_marginal(u, energies, gains, LINK)(shares)
     for row, share, can in zip(marginals, shares, (energies > 0) & (gains > 0)):
         if not can.any():
             continue  # nobody can transmit: uniform shares

@@ -19,7 +19,7 @@ from utilsched import powercontrol
 from utilsched.channel import sample_gains
 from utilsched.powercontrol import update_energies_pooled
 from utilsched.simulate import TRAINING_FRAME_OFFSET, ExperimentConfig
-from utilsched.utility import per_share
+from utilsched.utility import interior_share_marginal, per_share
 
 from test_utility import ScaledLog
 
@@ -335,7 +335,8 @@ class TestUnbracketedEnergy:
         shares, energies = self.apply_at(multiplier, u)
         assert np.all(shares > 0) and abs(shares.sum() - 1.0) <= 1e-12
         assert_allclose(u.marginal_energy(shares, energies, self.GAINS, LINK), multiplier, rtol=1e-9)
-        share_marginals = u.share_marginal(energies, self.GAINS, LINK)(shares)
+        x = energies * self.GAINS / LINK.effective_noise / shares
+        share_marginals = interior_share_marginal(u, x, shares)
         assert_allclose(share_marginals[0], share_marginals[1], rtol=1e-9)
 
     def test_generic_utility_meets_kkt_past_the_old_bracket(self):

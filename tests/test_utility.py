@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from utilsched import LinkBudget, LogUtility, Utility
 from utilsched.channel import LN2
 from utilsched.oracles import central_difference
-from utilsched.utility import as_utility, per_share
+from utilsched.utility import as_utility, interior_share_marginal, per_share
 
 
 class ScaledLog(Utility):
@@ -159,13 +159,8 @@ class TestEnergyForm:
             fd = central_difference(
                 lambda r: float(u.value_with_energy(r, s, g, self.link)), rho
             )
-            analytic = u.share_marginal(s, g, self.link)(rho)
+            analytic = interior_share_marginal(u, s * g / self.link.effective_noise / rho, rho)
             assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic))
-
-    def test_share_marginal_boundary_limits(self):
-        u = LogUtility(0.5)
-        assert np.isinf(u.share_marginal(1.0, 2.0, self.link)(0.0))
-        assert u.share_marginal(0.0, 2.0, self.link)(0.0) == 0.0
 
     def test_joint_concavity(self):
         # directional second differences of U(share, energy) stay <= 1e-8
@@ -192,16 +187,8 @@ def _reference_marginal_energy(u, share, energy, gain, link):
     return np.where(share > 0, u.derivative(rate) * snr / (LN2 * (1.0 + x)), 0.0)
 
 
-def _reference_marginal_share(u, share, energy, gain, link):
-    snr = np.multiply(energy, gain) / link.effective_noise
-    x = per_share(snr, share)
-    full = np.log1p(x) / LN2
-    out = u.derivative(share * full) * (full - x / (LN2 * (1.0 + x)))
-    return np.where(share > 0, out, np.where(snr > 0, np.inf, 0.0))
-
-
 class TestHoistedMarginals:
-    """``marginal_energy``/``share_marginal`` return the marginals bit for bit."""
+    """``marginal_energy`` returns the energy marginal bit for bit."""
 
     link = LinkBudget(snr_gap_db=3.0)
     UTILITIES = {
@@ -231,22 +218,10 @@ class TestHoistedMarginals:
             direct = u.marginal_energy(shares, energy, gains, self.link)
             assert np.array_equal(direct, _reference_marginal_energy(u, shares, energy, gains, self.link))
 
-    @pytest.mark.parametrize("name", sorted(UTILITIES))
-    def test_share_marginal_bits(self, name):
-        u = self.UTILITIES[name]
-        shares, gains, energies = self._grid()
-        at = u.share_marginal(energies, gains, self.link)
-        for share in (shares, shares[::-1], np.zeros_like(shares), np.ones_like(shares)):
-            direct = u.share_marginal(energies, gains, self.link)(share)  # built for this share alone
-            assert np.array_equal(at(share), direct)
-            assert np.array_equal(direct, _reference_marginal_share(u, share, energies, gains, self.link))
-
     def test_scalars_stay_floats(self):
         u = LogUtility(0.5)
         value = u.marginal_energy(0.4, 1.0, 2.0, self.link)
         assert type(value) is float and value == _reference_marginal_energy(u, 0.4, 1.0, 2.0, self.link)
-        value = u.share_marginal(1.0, 2.0, self.link)(0.4)
-        assert type(value) is float and value == _reference_marginal_share(u, 0.4, 1.0, 2.0, self.link)
         assert u.marginal_energy(0.4, 1.0, 0.0, self.link) == 0.0
 
     @pytest.mark.parametrize("name", sorted(UTILITIES))
@@ -256,7 +231,3 @@ class TestHoistedMarginals:
         energy = energies + 1.0  # energy on the zero shares
         with pytest.raises(ValueError, match="share == 0"):
             u.marginal_energy(shares, energy, gains, self.link)
-        negative = shares.copy()
-        negative[3, 1] = -0.25
-        with pytest.raises(ValueError, match="share must be >= 0"):
-            u.share_marginal(energies, gains, self.link)(negative)
