@@ -184,14 +184,26 @@ class TestUpdateEnergies:
             active = marginals[energies[:, user] > 0, user]
             assert active.max() <= active.min() * (1 + 1e-12)
 
-    def test_budget_below_the_level_resolution_raises(self):
+    @pytest.mark.parametrize("pooled", [False, True], ids=["uplink", "pooled"])
+    @pytest.mark.parametrize("budget", [1e-19, 1e-20, 1e-30])
+    def test_budget_below_the_level_resolution_met(self, budget, pooled):
         # one float below either user's peak log-level already spends 2.2e-19 and
-        # 1.2e-19 on average, so no level resolves the budget: each settles on
-        # its peak, where nothing is spent
+        # 1.2e-19 on average, so no level resolves these budgets: each settles on
+        # its peak, and the budget goes to the entries whose zero-energy
+        # marginal is that peak
         gains = np.random.default_rng(0).exponential(10.0, size=(50, 2))
         shares = np.full((50, 2), 0.5)
-        with pytest.raises(DegenerateBudgetError, match=r"users \[0, 1\]"):
-            update_energies(gains, shares, LogUtility(0.1), 1e-20, LinkBudget(snr_gap_db=8.2))
+        u, link = LogUtility(0.1), LinkBudget(snr_gap_db=8.2)
+        m_zero = u.marginal_energy(shares, np.zeros_like(gains), gains, link)
+        if pooled:
+            energies, _ = update_energies_pooled(gains, shares, u, budget, link)
+            assert_allclose(energies.sum(axis=1).mean(), budget, rtol=1e-12)
+            peak = m_zero == m_zero.max()
+        else:
+            energies, _ = update_energies(gains, shares, u, budget, link)
+            assert_allclose(energies.mean(axis=0), [budget, budget], rtol=1e-12)
+            peak = m_zero == m_zero.max(axis=0)
+        assert np.all(energies[~peak] == 0.0) and np.all(energies[peak] > 0.0)
 
     def test_budget_validation(self):
         gains = np.ones((2, 1))
