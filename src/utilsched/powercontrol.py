@@ -329,7 +329,9 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     nothing is spent (``_level_step``).  It stops on its own residual, or
     once its bracket closes to a few ulps, as it does below a budget of about
     1e-6; a final rescale absorbs what is left.  A level whose energies pass
-    the float range counts as overspent.
+    the float range counts as overspent.  A budget too small for any level
+    below the peak settles on the peak, and goes to the entries whose
+    zero-energy marginal is the peak, split evenly.
 
     Returns
     -------
@@ -338,8 +340,7 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     Raises
     ------
     DegenerateBudgetError
-        If a user's budget cannot be met (all gains or shares zero) or is
-        too small for the water level to resolve.
+        If a user's budget cannot be met (all gains or shares zero).
     ConvergenceError
         If the energies that meet the budgets are not all finite floats.
     """
@@ -406,9 +407,13 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
             break
     else:
         raise ConvergenceError(f"water levels unsettled after {LEVEL_STEPS} steps", diagnostics={"f": f.tolist()})
-    if np.any(total <= 0):
-        who = "pooled budget" if pooled else f"budgets of users {np.flatnonzero(total <= 0).tolist()}"
-        raise DegenerateBudgetError(f"the water level cannot resolve the {who}")
+    unmet = total <= 0
+    if unmet.any():
+        # a level that settles on its peak spends nothing: the water-filling
+        # solution at float resolution gives that budget to the entries whose
+        # zero-energy marginal is the peak, split evenly by the rescale below
+        energies = np.where((m_zero == peak) & unmet, 1.0, energies)
+        total = spent(energies)
     # absorb the last residual so the budgets are met exactly
     with np.errstate(over="ignore"):
         energies = energies * (budgets / total)

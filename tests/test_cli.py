@@ -118,6 +118,17 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert "failed" in err or "numeric" in err
 
+    def test_budget_below_the_level_resolution_exit_0(self, tmp_path):
+        # no water level below the peak resolves a budget of 1e-20: it goes
+        # to the entries at the peak marginal instead of failing the run
+        status = main([
+            "jtpc", "--power-budget", "1e-20", "--training-samples", "200", "--frames", "10",
+            "--output", str(tmp_path),
+        ])
+        assert status == 0
+        _, rows = read_csv(tmp_path / "jtpc.csv")
+        assert rows[0]["error"] == "" and rows[0]["taur"] != ""
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_non_finite_statistics_exit_3(self, tmp_path, capsys):
         # mean gains near 1e308 overflow the rates to inf and the rates times
