@@ -23,15 +23,16 @@ nondecreasing, which the tests assert directly.
 Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``); a
-level whose energies pass the float range counts as overspent.  The simplex
-multiplier and the two-user share split are bisected (``_bisect``).
+level whose energies pass the float range counts as overspent, and one
+that settles on its peak gives its budget to the entries at the peak.  The
+simplex multiplier and the two-user share split are bisected (``_bisect``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
 log family's share step is a Newton step kept inside the bisection bracket;
-any other utility bisects it.  Every share step evaluates one marginal,
-``interior_share_marginal``, on an SNR computed once per call: its shares
-lie in (0, 1], so no zero-share guard is needed.
+any other utility bisects it.  A share step computes the SNR once per
+call, and its bisections evaluate one marginal on it,
+``interior_share_marginal``, at shares in (0, 1]: no zero-share guard.
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation, each frame until its own round drift is at most
@@ -109,8 +110,8 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     multiplier is inverted through the (strictly decreasing) share marginal
     on [0, 1], by Newton steps for the log family and by an inner bisection
     for any other utility.  With two users the simplex collapses to one
-    dimension and the marginals are equalized directly.  Every step
-    evaluates ``interior_share_marginal`` on an SNR computed once per call.
+    dimension and the marginals are equalized directly.  The SNR is
+    computed once per call; the bisections evaluate ``interior_share_marginal``.
     Users with zero energy or zero gain in a sample get zero share there;
     samples where nobody can transmit fall back to uniform shares.
     """
