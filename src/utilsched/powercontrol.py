@@ -25,7 +25,9 @@ water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent, and one
 that settles on its peak gives its budget to the entries at the peak.  The
-simplex multiplier and the two-user share split are bisected (``_bisect``).
+simplex multiplier and the two-user share split are bisected (``_bisect``);
+the split first checks in one batch the steps its path toward the previous
+shares predicts (``_replay_pair_path``), which moves no bit.
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
@@ -50,6 +52,10 @@ from .utility import LogUtility, as_utility, interior_share_marginal
 
 SHARE_BISECT = 50
 INNER_BISECT = 46
+# the most (row, step) cells one replay of the two-user bisection evaluates,
+# and the log family's Newton steps that sharpen its predicted share
+REPLAY_CELLS = 2**13
+PAIR_NEWTON = 3
 # caps of the log family's Newton solves and of the water-level solve, far
 # above the steps they take
 ENERGY_NEWTON = 100
@@ -103,7 +109,7 @@ def _bisect(rises, lo, hi, steps):
     return 0.5 * (lo + hi)
 
 
-def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
+def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> np.ndarray:
     """Optimal per-sample shares given fixed per-sample energies.
 
     For each sample the simplex multiplier is bisected; each candidate
@@ -114,10 +120,18 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     computed once per call; the bisections evaluate ``interior_share_marginal``.
     Users with zero energy or zero gain in a sample get zero share there;
     samples where nobody can transmit fall back to uniform shares.
+
+    ``guess``, finite shares shaped like ``gains`` (else ``ValueError``),
+    such as the caller's previous ones, speeds up the two-user step and
+    changes no bit of the result.
     """
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
     n, nu = gains.shape
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != gains.shape or not np.isfinite(guess).all():
+            raise ValueError(f"guess must be finite shares of shape {gains.shape}, got shape {guess.shape}")
     u = as_utility(utilities, nu)
     active = (energies > 0) & (gains > 0)
 
@@ -126,15 +140,16 @@ def update_shares(gains, energies, utilities, link: LinkBudget) -> np.ndarray:
     snr = np.multiply(energies, gains) / link.effective_noise
     if nu == 2:
         # kept beside the general path: one bisection per sample, not a nested one, is far faster
-        return _update_shares_pair(u, snr, active)
+        return _update_shares_pair(u, snr, active, None if guess is None else guess[:, 0])
     return _update_shares_general(u, snr, active)
 
 
-def _update_shares_pair(u, snr, active):
+def _update_shares_pair(u, snr, active, guess):
     """Equalize the two marginals by bisection on the first user's share.
 
     Each midpoint and its complement are dyadic numbers strictly inside
-    (0, 1), so each step evaluates the interior marginal alone.
+    (0, 1), so each step evaluates the interior marginal alone.  A
+    ``guess`` skips the steps ``_replay_pair_path`` has checked.
     """
     n = snr.shape[0]
     rho = np.empty((n, 2))
@@ -145,12 +160,47 @@ def _update_shares_pair(u, snr, active):
         m = interior_share_marginal(u, snr / rho, rho)
         return m[:, 0] > m[:, 1]
 
-    first = _bisect(rises, np.zeros(n), np.ones(n), SHARE_BISECT)
+    done, lo, hi = (0, np.zeros(n), np.ones(n)) if guess is None else _replay_pair_path(u, snr, active, guess)
+    first = _bisect(rises, lo, hi, SHARE_BISECT - done)
     # single-transmitter and dead samples override the interior solution
     first = np.where(active[:, 0] & ~active[:, 1], 1.0, first)
     first = np.where(active[:, 1] & ~active[:, 0], 0.0, first)
     first = np.where(~active.any(axis=1), 0.5, first)
     return np.column_stack([first, 1.0 - first])
+
+
+def _replay_pair_path(u, snr, active, guess):
+    """The pair bisection's first steps, checked in one batched evaluation.
+
+    The bisection halves [0, 1] at dyadic midpoints, so the path it takes
+    toward a share g is known beforehand: at step d the bracket is
+    [k_d, k_d + 1]/2^d with k_d = ceil(g 2^d) - 1, and the step rises iff
+    its midpoint lies below g.  g is the guess, sharpened for the log family
+    by ``PAIR_NEWTON`` Newton steps on m0(g) - m1(1 - g).  Each step's
+    predicate is evaluated at that midpoint; up to the first step on which
+    some row with two transmitters rises otherwise, every such row's path is
+    its bisection's own, so the bits are those of the bisection from [0, 1].
+    Returns ``(done, lo, hi)``: the steps taken and each row's bracket.
+    """
+    g = np.where((guess > 0) & (guess < 1), guess, 0.5)
+    if isinstance(u, LogUtility):
+        for _ in range(PAIR_NEWTON):
+            # a user that cannot transmit has slope 0: its NaN trials keep g
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                m, dm, _ = _log_share_marginal(u.concavity, snr, np.column_stack([g, 1.0 - g]))
+                trial = g - (m[:, 0] - m[:, 1]) / dm.sum(axis=1)
+            g = np.where((trial > 0) & (trial < 1), trial, g)
+    depth = min(SHARE_BISECT, REPLAY_CELLS // max(g.size, 1))
+    scale = 2.0 ** np.arange(depth + 1)
+    k = np.ceil(g[:, None] * scale) - 1.0
+    mid = (2.0 * k[:, :-1] + 1.0) / (2.0 * scale[:-1])
+    rho = np.stack([mid, 1.0 - mid], axis=-1)
+    # a midpoint off the bisection's path can overflow x: its NaN only ends the replay
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = interior_share_marginal(u, snr[:, None, :] / rho, rho)
+    agree = ((m[..., 0] > m[..., 1]) == (mid < g[:, None])) | ~active.all(axis=1)[:, None]
+    done = int(np.argmin(agree.all(axis=0))) if not agree.all() else depth
+    return done, k[:, done] / scale[done], (k[:, done] + 1.0) / scale[done]
 
 
 def _update_shares_general(u, snr, active):
@@ -196,11 +246,10 @@ def _log_share_inverse(u, snr):
 
     Each entry in the mask ``solve`` gets the share where its marginal
     equals its row's ``lam``, by Newton's method kept inside the bisection
-    bracket [0, 1] ("rtsafe", Press et al., Numerical Recipes, 9.4).  With
-    x = snr/share and h the marginal rate, the marginal m = U'·h has the
-    derivative -U'^2 h^2 - U' (x/(1+x))^2 / (share ln2).  Each call starts
-    from the shares of the previous call, which the outer multiplier
-    bisection makes close.  Entries outside ``solve`` are left undefined.
+    bracket [0, 1] ("rtsafe", Press et al., Numerical Recipes, 9.4), on
+    ``_log_share_marginal``.  Each call starts from the shares of the
+    previous call, which the outer multiplier bisection makes close.
+    Entries outside ``solve`` are left undefined.
     """
     shape, nu = snr.shape, snr.shape[1]
     concavity = np.broadcast_to(u.concavity, shape).ravel()
@@ -220,13 +269,9 @@ def _log_share_inverse(u, snr):
             # x overflows only where the share is far too small: the NaNs
             # that follow count as a marginal above the target
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                x = snr[idx[live]] / sl
-                q = x / (1.0 + x)
-                full = np.log1p(x) / LN2
-                slope = 1.0 / (a[live] + sl * full)
-                h = full - q / LN2
-                f = slope * h - target[live]
-                trial = sl + f / (slope * (slope * h * h + q * q / (sl * LN2)))
+                m, dm, scale = _log_share_marginal(a[live], snr[idx[live]], sl)
+                f = m - target[live]
+                trial = sl - f / dm
             too_small = ~(f <= 0)
             lo[live] = np.where(too_small, sl, lo[live])
             hi[live] = np.where(too_small, hi[live], sl)
@@ -234,7 +279,7 @@ def _log_share_inverse(u, snr):
             trial = np.where(inside, trial, 0.5 * (lo[live] + hi[live]))
             # h = full - q/ln2 cancels at small x: f is known to a few eps of
             # its terms, not of the target
-            met = np.abs(f) <= 8 * EPS * (target[live] + slope * full)
+            met = np.abs(f) <= 8 * EPS * (target[live] + scale)
             s[live] = np.where(met, sl, trial)
             # shares sum to 1, so a bracket 4 eps wide pins a root near 0 well enough
             settled = (np.abs(trial - sl) <= 4 * EPS * trial) | (hi[live] - lo[live] <= 4 * EPS)
@@ -249,6 +294,19 @@ def _log_share_inverse(u, snr):
         return rho.reshape(shape).copy()
 
     return invert
+
+
+def _log_share_marginal(concavity, snr, share):
+    """The log family's share marginal m = U'·h, its slope in the share
+    -U'(U'h^2 + q^2/(share ln2)) and the scale U'·full of its terms, where
+    x = snr/share, q = x/(1+x), full = log2(1+x) and h = full - q/ln2.  It
+    rounds unlike ``interior_share_marginal``."""
+    x = snr / share
+    q = x / (1.0 + x)
+    full = np.log1p(x) / LN2
+    slope = 1.0 / (concavity + share * full)
+    h = full - q / LN2
+    return slope * h, -slope * (slope * h * h + q * q / (share * LN2)), slope * full
 
 
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
@@ -492,7 +550,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     trace = IterationTrace()
 
     for _ in range(max_iterations):
-        shares = update_shares(gains, energies, u, link)
+        shares = update_shares(gains, energies, u, link, guess=shares)
         trace.objectives.append(sample_objective(gains, shares, energies, u, link))
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
             break
@@ -555,7 +613,9 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget, 
     Both block updates act on each frame alone, and so does the stop rule: a
     frame leaves the loop once its largest share change plus its largest
     energy change in a round is at most ``APPLY_TOL``.  A frame's result is
-    therefore the same in any batch.
+    therefore the same in any batch.  Each round's share step takes the
+    frame's previous shares as its ``guess``, which saves most of its
+    bisection steps and moves no bit.
 
     ``frame_gains`` is (n_frames, N); so are the returned shares and energies.
     """
@@ -575,7 +635,7 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget, 
         if not live.size:
             break
         gains, old_shares, old_energies = g[live], shares[live], energies[live]
-        new_shares = update_shares(gains, old_energies, u, link)
+        new_shares = update_shares(gains, old_energies, u, link, guess=old_shares)
         new_energies = _waterfill_energies(u, gains, new_shares, link, lam)
         drift = np.abs(new_shares - old_shares).max(axis=1) + np.abs(new_energies - old_energies).max(axis=1)
         shares[live], energies[live] = new_shares, new_energies

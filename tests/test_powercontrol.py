@@ -322,6 +322,22 @@ class TestApplyPolicy:
         with pytest.raises(ValueError, match="n_frames"):
             apply_policy(policy, np.array([1.5, 0.5]), u, LINK)
 
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_benchmark_jtpc_apply_makes_few_marginal_calls(self, seed, monkeypatch):
+        # the 0 dB jtpc config on which apply_policy runs to its 300-round cap;
+        # a 50-step bisection per round made 15,000 calls
+        config = ExperimentConfig(policy="jtpc", mean_snr_db=0.0, training_samples=300, n_frames=1000, seed=seed)
+        model, u, link = config.channel(), config.utilities(), config.link()
+        training = range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
+        gains = np.stack([sample_gains(model, seed, t) for t in training])
+        policy, _ = solve_uplink(gains, u, config.per_user("power_budget"), link, threshold=config.delta)
+        frames = np.stack([sample_gains(model, seed, t) for t in range(config.n_frames)])
+        calls = []
+        marginal = powercontrol.interior_share_marginal
+        monkeypatch.setattr(powercontrol, "interior_share_marginal", lambda *args: calls.append(1) or marginal(*args))
+        apply_policy(policy, frames, u, link)
+        assert len(calls) <= 3000
+
 
 class TestUnbracketedEnergy:
     """Multipliers so small that the energy root lies beyond 2**120.

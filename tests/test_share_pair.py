@@ -11,10 +11,12 @@ midpoints) lies in (0, 1], so none of those guards changes a value and both
 forms give the same bits.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from utilsched import LinkBudget, LogUtility, update_shares
+from utilsched import LinkBudget, LogUtility, powercontrol, update_shares
 from utilsched.channel import LN2
 from utilsched.utility import as_utility, per_share
 
@@ -170,17 +172,32 @@ utilities = st.one_of(
 )
 
 
-def grids(draw, nu, max_rows):
+def grids(draw, nu, max_rows, min_rows=1):
     """(n, nu) energies and gains; some rows have a zero for one user or more."""
-    n = draw(st.integers(1, max_rows))
+    n = draw(st.integers(min_rows, max_rows))
     cell = st.one_of(st.just(0.0), log_uniform(1e-4, 1e4), log_uniform(1e-4, 1e4))
     rows = st.lists(st.lists(cell, min_size=nu, max_size=nu), min_size=n, max_size=n)
-    return np.array(draw(rows)), np.array(draw(rows))
+    return np.array(draw(rows)).reshape(n, nu), np.array(draw(rows)).reshape(n, nu)
 
 
 @st.composite
 def pair_grids(draw):
-    return grids(draw, 2, 12)
+    return grids(draw, 2, 12, min_rows=0)
+
+
+def pair_guesses(shares):
+    """No guess, or (n, 2) shares whose first column is ``shares``' own, moved
+    by a few ulps or by 2^-j per row, or 0, 1 or a uniform draw."""
+    first, n = shares[:, 0], len(shares)
+    row_ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(np.array)
+    column = st.one_of(
+        st.just(first),
+        row_ints(-4, 4).map(lambda k: first + k * np.spacing(first)),
+        st.tuples(row_ints(1, 52), row_ints(0, 1)).map(lambda a: first + (2 * a[1] - 1) * 2.0 ** -a[0]),
+        st.sampled_from([0.0, 1.0]).map(lambda v: np.full(n, v)),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(lambda g: np.array(g, dtype=float)),
+    )
+    return st.one_of(st.none(), column.map(lambda g: np.column_stack([g, 1.0 - g])))
 
 
 @st.composite
@@ -199,15 +216,26 @@ def general_problems(draw):
 
 
 @settings(max_examples=100)
-@given(grids=pair_grids(), utility=utilities, gap_db=st.sampled_from([0.0, 3.0, 8.2]))
-def test_pair_step_matches_the_guarded_bisection_bit_for_bit(grids, utility, gap_db):
+@given(grids=pair_grids(), utility=utilities, gap_db=st.sampled_from([0.0, 3.0, 8.2]),
+       cells=st.sampled_from([powercontrol.REPLAY_CELLS, 24, 1]), data=st.data())
+def test_pair_step_matches_the_guarded_bisection_bit_for_bit(grids, utility, gap_db, cells, data):
     energies, gains = grids
     link = LinkBudget(snr_gap_db=gap_db)
+    reference = reference_pair_shares(gains, energies, utility, link)
     shares = update_shares(gains, energies, utility, link)
-    assert shares.tobytes() == reference_pair_shares(gains, energies, utility, link).tobytes()
-    for row in range(len(gains)):
-        alone = update_shares(gains[row:row + 1], energies[row:row + 1], utility, link)
-        assert alone.tobytes() == shares[row:row + 1].tobytes(), row
+    assert shares.tobytes() == reference.tobytes()
+    # a guess changes no bit, however far off, and however few rows a replay checks
+    guess = data.draw(pair_guesses(reference), label="guess")
+    with mock.patch.object(powercontrol, "REPLAY_CELLS", cells):
+        guided = update_shares(gains, energies, utility, link, guess=guess)
+        assert guided.tobytes() == reference.tobytes()
+        for row in range(len(gains)):
+            cut = slice(row, row + 1)
+            alone = update_shares(gains[cut], energies[cut], utility, link)
+            assert alone.tobytes() == shares[cut].tobytes(), row
+            if guess is not None:
+                alone = update_shares(gains[cut], energies[cut], utility, link, guess=guess[cut])
+                assert alone.tobytes() == shares[cut].tobytes(), row
 
 
 @settings(max_examples=40)
@@ -220,3 +248,34 @@ def test_general_step_matches_the_guarded_step_bit_for_bit(problem, gap_db):
     for row in range(len(gains)):
         alone = update_shares(gains[row:row + 1], energies[row:row + 1], utility, link)
         assert alone.tobytes() == shares[row:row + 1].tobytes(), row
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("bad", ["nan", "inf", "short", "one column", "flat"])
+def test_bad_guess_raises(nu, bad):
+    gains = np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 4.0]])[:, :nu]
+    guess = np.full(gains.shape, 1.0 / nu)
+    guess = {
+        "nan": np.where(np.arange(nu) == 0, np.nan, guess),
+        "inf": np.where(np.arange(nu) == 0, np.inf, guess),
+        "short": guess[:1],
+        "one column": guess[:, :1],
+        "flat": guess.ravel(),
+    }[bad]
+    with pytest.raises(ValueError, match="guess"):
+        update_shares(gains, np.ones_like(gains), LogUtility(0.1), LinkBudget(), guess=guess)
+
+
+@pytest.mark.parametrize("utility", [LogUtility(0.1), ScaledLog(0.1)], ids=["log", "generic"])
+def test_far_guess_at_huge_snr_warns_of_nothing(utility):
+    # the path toward 1e-10 overflows snr/share, which the bisection never evaluates
+    gains, energies = np.ones((1, 2)), np.full((1, 2), 1e300)
+    shares = update_shares(gains, energies, utility, LinkBudget())
+    guided = update_shares(gains, energies, utility, LinkBudget(), guess=[[1e-10, 1.0 - 1e-10]])
+    assert guided.tobytes() == shares.tobytes()
+
+
+def test_empty_batch_with_a_guess():
+    empty = np.empty((0, 2))
+    shares = update_shares(empty, empty, LogUtility(0.1), LinkBudget(), guess=empty)
+    assert shares.shape == (0, 2)
