@@ -189,7 +189,10 @@ def pair_guesses(shares):
     """No guess, or (n, 2) shares whose first column is ``shares``' own, moved
     by a few ulps or by 2^-j per row, or 0, 1 or a uniform draw."""
     first, n = shares[:, 0], len(shares)
-    row_ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(np.array)
+
+    def row_ints(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(np.array)
+
     column = st.one_of(
         st.just(first),
         row_ints(-4, 4).map(lambda k: first + k * np.spacing(first)),
