@@ -26,8 +26,7 @@ log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent, and one
 that settles on its peak gives its budget to the entries at the peak.  The
 simplex multiplier and the two-user share split are bisected (``_bisect``);
-the split first checks in one batch the steps its path toward the previous
-shares predicts (``_replay_pair_path``), which moves no bit.
+the split first checks its predicted path in one batch (``_replay_pair_path``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
@@ -121,9 +120,8 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
     Users with zero energy or zero gain in a sample get zero share there;
     samples where nobody can transmit fall back to uniform shares.
 
-    ``guess``, finite shares shaped like ``gains`` (else ``ValueError``),
-    such as the caller's previous ones, speeds up the two-user step and
-    changes no bit of the result.
+    A ``guess``, finite shares shaped like ``gains`` (else ``ValueError``)
+    such as the previous ones, speeds up the two-user step and moves no bit.
     """
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -148,8 +146,7 @@ def _update_shares_pair(u, snr, active, guess):
     """Equalize the two marginals by bisection on the first user's share.
 
     Each midpoint and its complement are dyadic numbers strictly inside
-    (0, 1), so each step evaluates the interior marginal alone.  A
-    ``guess`` skips the steps ``_replay_pair_path`` has checked.
+    (0, 1), so each step evaluates the interior marginal alone.
     """
     n = snr.shape[0]
     rho = np.empty((n, 2))
@@ -160,7 +157,7 @@ def _update_shares_pair(u, snr, active, guess):
         m = interior_share_marginal(u, snr / rho, rho)
         return m[:, 0] > m[:, 1]
 
-    done, lo, hi = (0, np.zeros(n), np.ones(n)) if guess is None else _replay_pair_path(u, snr, active, guess)
+    done, lo, hi = _replay_pair_path(u, snr, active, guess)
     first = _bisect(rises, lo, hi, SHARE_BISECT - done)
     # single-transmitter and dead samples override the interior solution
     first = np.where(active[:, 0] & ~active[:, 1], 1.0, first)
@@ -172,17 +169,21 @@ def _update_shares_pair(u, snr, active, guess):
 def _replay_pair_path(u, snr, active, guess):
     """The pair bisection's first steps, checked in one batched evaluation.
 
-    The bisection halves [0, 1] at dyadic midpoints, so the path it takes
-    toward a share g is known beforehand: at step d the bracket is
-    [k_d, k_d + 1]/2^d with k_d = ceil(g 2^d) - 1, and the step rises iff
-    its midpoint lies below g.  g is the guess, sharpened for the log family
-    by ``PAIR_NEWTON`` Newton steps on m0(g) - m1(1 - g).  Each step's
-    predicate is evaluated at that midpoint; up to the first step on which
-    some row with two transmitters rises otherwise, every such row's path is
-    its bisection's own, so the bits are those of the bisection from [0, 1].
-    Returns ``(done, lo, hi)``: the steps taken and each row's bracket.
+    The bisection halves [0, 1] at dyadic midpoints, so its path toward a
+    share g is known: at step d the bracket is [k_d, k_d + 1]/2^d with
+    k_d = ceil(g 2^d) - 1, and the step rises iff its midpoint lies below g.
+    g is the guess (1/2 without one), sharpened for the log family by
+    ``PAIR_NEWTON`` Newton steps on m0(g) - m1(1 - g).  Up to the first step
+    on which some row with two transmitters rises otherwise, each such row's
+    path is its bisection's own, so the bits are those of the bisection from
+    [0, 1].  Returns ``(done, lo, hi)``: the steps taken and each row's
+    bracket.  A batch of more than ``REPLAY_CELLS`` rows takes none.
     """
-    g = np.where((guess > 0) & (guess < 1), guess, 0.5)
+    n = snr.shape[0]
+    depth = min(SHARE_BISECT, REPLAY_CELLS // max(n, 1))
+    if not depth:
+        return 0, np.zeros(n), np.ones(n)
+    g = np.full(n, 0.5) if guess is None else np.where((guess > 0) & (guess < 1), guess, 0.5)
     if isinstance(u, LogUtility):
         for _ in range(PAIR_NEWTON):
             # a user that cannot transmit has slope 0: its NaN trials keep g
@@ -190,7 +191,6 @@ def _replay_pair_path(u, snr, active, guess):
                 m, dm, _ = _log_share_marginal(u.concavity, snr, np.column_stack([g, 1.0 - g]))
                 trial = g - (m[:, 0] - m[:, 1]) / dm.sum(axis=1)
             g = np.where((trial > 0) & (trial < 1), trial, g)
-    depth = min(SHARE_BISECT, REPLAY_CELLS // max(g.size, 1))
     scale = 2.0 ** np.arange(depth + 1)
     k = np.ceil(g[:, None] * scale) - 1.0
     mid = (2.0 * k[:, :-1] + 1.0) / (2.0 * scale[:-1])
