@@ -26,14 +26,13 @@ log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent, and one
 that settles on its peak gives its budget to the entries at the peak.  The
 simplex multiplier and the two-user share split are bisected (``_bisect``);
-the split first checks its predicted path in one batch (``_replay_pair_path``).
+``apply_policy`` first replays the split toward a guess (``_replay_pair_path``).
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
 below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
 log family's share step is a Newton step kept inside the bisection bracket;
 any other utility bisects it.  A share step computes the SNR once per
-call, and its bisections evaluate one marginal on it,
-``interior_share_marginal``, at shares in (0, 1]: no zero-share guard.
+call, and its bisections evaluate ``interior_share_marginal`` in (0, 1].
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
 the same alternation, each frame until its own round drift is at most
@@ -115,13 +114,13 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
     multiplier is inverted through the (strictly decreasing) share marginal
     on [0, 1], by Newton steps for the log family and by an inner bisection
     for any other utility.  With two users the simplex collapses to one
-    dimension and the marginals are equalized directly.  The SNR is
-    computed once per call; the bisections evaluate ``interior_share_marginal``.
+    dimension and the marginals are equalized directly.
     Users with zero energy or zero gain in a sample get zero share there;
     samples where nobody can transmit fall back to uniform shares.
 
     A ``guess``, finite shares shaped like ``gains`` (else ``ValueError``)
-    such as the previous ones, speeds up the two-user step and moves no bit.
+    such as the previous ones, lets the two-user step replay its path toward
+    it first; without one the step only bisects.  It moves no bit.
     """
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -146,7 +145,8 @@ def _update_shares_pair(u, snr, active, guess):
     """Equalize the two marginals by bisection on the first user's share.
 
     Each midpoint and its complement are dyadic numbers strictly inside
-    (0, 1), so each step evaluates the interior marginal alone.
+    (0, 1), so each step evaluates the interior marginal alone.  Only a
+    ``guess`` replays the first steps in one batch (``_replay_pair_path``).
     """
     n = snr.shape[0]
     rho = np.empty((n, 2))
@@ -167,23 +167,23 @@ def _update_shares_pair(u, snr, active, guess):
 
 
 def _replay_pair_path(u, snr, active, guess):
-    """The pair bisection's first steps, checked in one batched evaluation.
+    """The pair bisection's first steps toward a guess, checked in one batch.
 
     The bisection halves [0, 1] at dyadic midpoints, so its path toward a
     share g is known: at step d the bracket is [k_d, k_d + 1]/2^d with
     k_d = ceil(g 2^d) - 1, and the step rises iff its midpoint lies below g.
-    g is the guess (1/2 without one), sharpened for the log family by
+    g is the guess (1/2 outside (0, 1)), sharpened for the log family by
     ``PAIR_NEWTON`` Newton steps on m0(g) - m1(1 - g).  Up to the first step
     on which some row with two transmitters rises otherwise, each such row's
     path is its bisection's own, so the bits are those of the bisection from
     [0, 1].  Returns ``(done, lo, hi)``: the steps taken and each row's
-    bracket.  A batch of more than ``REPLAY_CELLS`` rows takes none.
+    bracket.  No guess, or more than ``REPLAY_CELLS`` rows, takes none.
     """
     n = snr.shape[0]
     depth = min(SHARE_BISECT, REPLAY_CELLS // max(n, 1))
-    if not depth:
+    if guess is None or not depth:
         return 0, np.zeros(n), np.ones(n)
-    g = np.full(n, 0.5) if guess is None else np.where((guess > 0) & (guess < 1), guess, 0.5)
+    g = np.where((guess > 0) & (guess < 1), guess, 0.5)
     if isinstance(u, LogUtility):
         for _ in range(PAIR_NEWTON):
             # a user that cannot transmit has slope 0: its NaN trials keep g
@@ -550,7 +550,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     trace = IterationTrace()
 
     for _ in range(max_iterations):
-        shares = update_shares(gains, energies, u, link, guess=shares)
+        shares = update_shares(gains, energies, u, link)
         trace.objectives.append(sample_objective(gains, shares, energies, u, link))
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
             break

@@ -33,6 +33,23 @@ def random_instance(rng, n_users=2, n_samples=60, mean=2.0):
     return gains, budgets, utility
 
 
+def benchmark_jtpc(seed):
+    """The benchmark's 0 dB jtpc config and its 300 training samples."""
+    config = ExperimentConfig(policy="jtpc", mean_snr_db=0.0, training_samples=300, n_frames=1000, seed=seed)
+    model = config.channel()
+    training = range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
+    return config, np.stack([sample_gains(model, seed, t) for t in training])
+
+
+def record_marginal_ndims(monkeypatch):
+    """Record ``x.ndim`` of every share-marginal evaluation in ``powercontrol``."""
+    ndims = []
+    marginal = powercontrol.interior_share_marginal
+    monkeypatch.setattr(powercontrol, "interior_share_marginal",
+                        lambda u, x, share: ndims.append(x.ndim) or marginal(u, x, share))
+    return ndims
+
+
 class TestSolveUplink:
     def test_single_user_single_sample_binds(self):
         gains = np.array([[2.5]])
@@ -105,6 +122,21 @@ class TestUpdateShares:
             values = u.value_with_energy(rho, energies[0, 0], gains[0, 0], LINK)
             values = values + u.value_with_energy(1 - rho, energies[0, 1], gains[0, 1], LINK)
             assert abs(shares[0, 0] - rho[np.argmax(values)]) <= 1e-6
+
+    def test_only_a_guess_replays_the_pair_bisection(self, monkeypatch):
+        # the replay evaluates the marginal on a (row, step, user) grid, the
+        # plain bisection on (row, user) rows
+        ndims = record_marginal_ndims(monkeypatch)
+        gains = np.array([[1.0, 2.0], [0.3, 1.5], [4.0, 0.2]])
+        shares = update_shares(gains, np.ones_like(gains), LogUtility(0.3), LINK)
+        assert set(ndims) == {2}
+        update_shares(gains, np.ones_like(gains), LogUtility(0.3), LINK, guess=shares)
+        assert 3 in ndims
+        # Gauss-Seidel training passes no guess
+        ndims.clear()
+        config, gains = benchmark_jtpc(0)
+        solve_uplink(gains, config.utilities(), config.per_user("power_budget"), config.link(), threshold=config.delta)
+        assert set(ndims) == {2}
 
     def test_three_user_matches_pairwise_exchange(self):
         # no small transfer between any pair should improve the objective
@@ -326,15 +358,11 @@ class TestApplyPolicy:
     def test_benchmark_jtpc_apply_makes_few_marginal_calls(self, seed, monkeypatch):
         # the 0 dB jtpc config on which apply_policy runs to its 300-round cap;
         # a 50-step bisection per round made 15,000 calls
-        config = ExperimentConfig(policy="jtpc", mean_snr_db=0.0, training_samples=300, n_frames=1000, seed=seed)
-        model, u, link = config.channel(), config.utilities(), config.link()
-        training = range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
-        gains = np.stack([sample_gains(model, seed, t) for t in training])
+        config, gains = benchmark_jtpc(seed)
+        u, link = config.utilities(), config.link()
         policy, _ = solve_uplink(gains, u, config.per_user("power_budget"), link, threshold=config.delta)
-        frames = np.stack([sample_gains(model, seed, t) for t in range(config.n_frames)])
-        calls = []
-        marginal = powercontrol.interior_share_marginal
-        monkeypatch.setattr(powercontrol, "interior_share_marginal", lambda *args: calls.append(1) or marginal(*args))
+        frames = np.stack([sample_gains(config.channel(), seed, t) for t in range(config.n_frames)])
+        calls = record_marginal_ndims(monkeypatch)
         apply_policy(policy, frames, u, link)
         assert len(calls) <= 3000
 
