@@ -437,4 +437,4 @@ class TestUnbracketedEnergy:
         gains = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(ConvergenceError, match="share Newton") as info:
             update_shares(gains, np.ones((1, 3)), LogUtility(1.0), LINK)
-        assert set(info.value.diagnostics) == {"entries", "lo", "hi"}
+        assert set(info.value.diagnostics) == {"rows", "lo", "hi"} and info.value.diagnostics["rows"] == [0]
