@@ -24,14 +24,14 @@ Every inner solve is vectorized across the whole sample grid.  Each budget
 water level is solved in its logarithm, by safeguarded Newton steps for the
 log family and by bisection for any other utility (``_level_step``); a
 level whose energies pass the float range counts as overspent, and one
-that settles on its peak gives its budget to the entries at the peak.  The
-simplex multiplier and the two-user share split are bisected (``_bisect``);
-``apply_policy`` first replays the split toward a guess (``_replay_pair_path``).
+that settles on its peak gives its budget to the entries at the peak.
 Each energy is the root of one equation in its log-SNR, bracketed in closed
 form for every utility: the log family solves it by Newton's method from
-below (its Lambert-W form), any other utility by bisection.  At N >= 3 the
-log family's share step is a Newton step kept inside the bisection bracket;
-any other utility bisects it.  A share step computes the SNR once per
+below (its Lambert-W form), any other utility by bisection.  The two-user
+share split is bisected (``_bisect``); ``apply_policy`` first replays it
+toward a guess (``_replay_pair_path``).  At N >= 3 the log family's share
+step is a Newton solve per sample (``_newton_shares``); any other utility
+bisects the simplex multiplier.  A share step computes the SNR once per
 call, and its bisections evaluate ``interior_share_marginal`` in (0, 1].
 
 ``apply_policy`` re-solves fresh frames against the fixed multipliers by
@@ -110,13 +110,11 @@ def _bisect(rises, lo, hi, steps):
 def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> np.ndarray:
     """Optimal per-sample shares given fixed per-sample energies.
 
-    For each sample the simplex multiplier is bisected; each candidate
-    multiplier is inverted through the (strictly decreasing) share marginal
-    on [0, 1], by Newton steps for the log family and by an inner bisection
-    for any other utility.  With two users the simplex collapses to one
-    dimension and the marginals are equalized directly.
-    Users with zero energy or zero gain in a sample get zero share there;
-    samples where nobody can transmit fall back to uniform shares.
+    Each sample's share marginals are equalized on the simplex: at N = 2 by
+    bisection, at N >= 3 by Newton steps for the log family and a nested
+    bisection for any other utility.  Users with zero energy or zero gain in
+    a sample get zero share there, a lone user that can transmit the whole
+    frame, and samples where nobody can transmit uniform shares.
 
     A ``guess``, finite shares shaped like ``gains`` (else ``ValueError``)
     such as the previous ones, lets the two-user step replay its path toward
@@ -136,7 +134,7 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
         return np.ones((n, 1))
     snr = np.multiply(energies, gains) / link.effective_noise
     if nu == 2:
-        # kept beside the general path: one bisection per sample, not a nested one, is far faster
+        # kept apart: its bits are pinned, and apply_policy replays it toward a guess
         return _update_shares_pair(u, snr, active, None if guess is None else guess[:, 0])
     return _update_shares_general(u, snr, active)
 
@@ -186,10 +184,10 @@ def _replay_pair_path(u, snr, active, guess):
     g = np.where((guess > 0) & (guess < 1), guess, 0.5)
     if isinstance(u, LogUtility):
         for _ in range(PAIR_NEWTON):
-            # a user that cannot transmit has slope 0: its NaN trials keep g
+            # a user that cannot transmit has ln m = -inf: its trials keep g
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                m, dm, _ = _log_share_marginal(u.concavity, snr, np.column_stack([g, 1.0 - g]))
-                trial = g - (m[:, 0] - m[:, 1]) / dm.sum(axis=1)
+                lm, el, _ = _log_share_marginal(u.concavity, snr, np.column_stack([g, 1.0 - g]))
+                trial = g - (lm[:, 0] - lm[:, 1]) / (el[:, 0] / g + el[:, 1] / (1.0 - g))
             g = np.where((trial > 0) & (trial < 1), trial, g)
     scale = 2.0 ** np.arange(depth + 1)
     k = np.ceil(g[:, None] * scale) - 1.0
@@ -204,109 +202,92 @@ def _replay_pair_path(u, snr, active, guess):
 
 
 def _update_shares_general(u, snr, active):
-    n, nu = snr.shape
-    live = active.any(axis=1)
+    nu = snr.shape[1]
+    count = active.sum(axis=1, keepdims=True)
+    shares = np.where(count == 0, 1.0 / nu, active / np.maximum(count, 1))
+    rows = np.flatnonzero(count[:, 0] >= 2)
+    if isinstance(u, LogUtility):
+        return _newton_shares(u.concavity, snr, shares, rows)
+    snr, active = snr[rows], active[rows]
 
     def marginal(share):
         return interior_share_marginal(u, snr / share, share)
 
-    ones = np.ones((n, nu))
-    m_low = marginal(ones / nu)
+    ones = np.ones((rows.size, nu))
     m_one = marginal(ones)
-
-    hi = np.where(active, m_low, 0.0).max(axis=1)
+    hi = np.where(active, marginal(ones / nu), 0.0).max(axis=1)
     lo = np.where(active, m_one, np.inf).min(axis=1)
-    lo = np.where(live, lo, 1.0)
     hi = np.maximum(hi, lo)
-
-    if isinstance(u, LogUtility):
-        invert = _log_share_inverse(u, snr)
-    else:
-        def invert(lam, solve):
-            return _bisect(
-                lambda mid: marginal(mid) > lam[:, None],
-                np.zeros((n, nu)), np.ones((n, nu)), INNER_BISECT,
-            )
 
     def shares_at(lam):
         full = active & (m_one >= lam[:, None])
-        rho = np.where(full, 1.0, invert(lam, active & ~full))
-        return np.where(active, rho, 0.0)
+        rho = _bisect(lambda mid: marginal(mid) > lam[:, None], np.zeros_like(ones), ones, INNER_BISECT)
+        return np.where(active, np.where(full, 1.0, rho), 0.0)
 
     lam = _bisect(lambda lam: shares_at(lam).sum(axis=1) > 1.0, lo, hi, SHARE_BISECT)
-    shares = shares_at(lam)
-    total = shares.sum(axis=1)
-    shares[live] /= total[live, None]
-    shares[~live] = 1.0 / nu
+    solved = shares_at(lam)
+    shares[rows] = solved / solved.sum(axis=1, keepdims=True)
     return shares
 
 
-def _log_share_inverse(u, snr):
-    """Log-family inverse of the share marginal, ``(lam, solve) -> shares``.
-
-    Each entry in the mask ``solve`` gets the share where its marginal
-    equals its row's ``lam``, by Newton's method kept inside the bisection
-    bracket [0, 1] ("rtsafe", Press et al., Numerical Recipes, 9.4), on
-    ``_log_share_marginal``.  Each call starts from the shares of the
-    previous call, which the outer multiplier bisection makes close.
-    Entries outside ``solve`` are left undefined.
-    """
-    shape, nu = snr.shape, snr.shape[1]
-    concavity = np.broadcast_to(u.concavity, shape).ravel()
-    snr = snr.ravel()
-    rho = np.full(snr.size, 0.5)
-
-    def invert(lam, solve):
-        idx = np.flatnonzero(solve)
-        s, a, target = rho[idx], concavity[idx], lam[idx // nu]
-        s = np.where((s > 0) & (s < 1), s, 0.5)
-        lo, hi = np.zeros(idx.size), np.ones(idx.size)
-        live = np.arange(idx.size)
+def _newton_shares(concavity, snr, shares, rows):
+    """Newton steps on each of ``rows``' KKT system ln m_i(s_i) = L, sum s_i = 1
+    (``_log_share_marginal``), from and into ``shares``; a 0 stays 0.  A step
+    sets L = (1 - sum s_i + sum w_i ln m_i)/sum w_i, w_i = s_i/e_i, scales
+    s_i by exp((L - ln m_i)/e_i) and renormalizes.  As in ``_level_step``'s
+    rtsafe, L keeps to a bracket, else bisects it: above each m_i(1), and
+    within the marginals of each point on the simplex.  A share too small
+    for snr/share to be a float drops to 0."""
+    a = np.broadcast_to(concavity, snr.shape)
+    # entries at share 0 give NaN or -inf, which the masks drop
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lm, _, tol = _log_share_marginal(a[rows], snr[rows], 1.0)
+        lo = np.where(shares[rows] > 0, lm - tol, -np.inf).max(axis=1)
+        hi = np.full(rows.size, np.inf)
         for _ in range(SHARE_NEWTON):
-            if not live.size:
+            if not rows.size:
                 break
-            sl = s[live]
-            # x overflows only where the share is far too small: the NaNs
-            # that follow count as a marginal above the target
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                m, dm, scale = _log_share_marginal(a[live], snr[idx[live]], sl)
-                f = m - target[live]
-                trial = sl - f / dm
-            too_small = ~(f <= 0)
-            lo[live] = np.where(too_small, sl, lo[live])
-            hi[live] = np.where(too_small, hi[live], sl)
-            inside = (trial > lo[live]) & (trial < hi[live])
-            trial = np.where(inside, trial, 0.5 * (lo[live] + hi[live]))
-            # h = full - q/ln2 cancels at small x: f is known to a few eps of
-            # its terms, not of the target
-            met = np.abs(f) <= 8 * EPS * (target[live] + scale)
-            s[live] = np.where(met, sl, trial)
-            # shares sum to 1, so a bracket 4 eps wide pins a root near 0 well enough
-            settled = (np.abs(trial - sl) <= 4 * EPS * trial) | (hi[live] - lo[live] <= 4 * EPS)
-            live = live[~(met | settled)]
-        if live.size:
-            raise ConvergenceError(
-                f"share Newton solve unconverged after {SHARE_NEWTON} steps on {live.size} entries",
-                diagnostics={"entries": idx[live].tolist(), "lo": lo[live].tolist(),
-                             "hi": hi[live].tolist()},
-            )
-        rho[idx] = s
-        return rho.reshape(shape).copy()
-
-    return invert
+            s = shares[rows]
+            on = s > 0
+            lm, el, tol = _log_share_marginal(a[rows], snr[rows], np.where(on, s, 1.0))
+            below, above = lm - tol, lm + tol
+            met = np.where(on, below, -np.inf).max(axis=1) <= np.where(on, above, np.inf).min(axis=1)
+            lo = np.fmax(lo, np.where(on, below, np.inf).min(axis=1))
+            hi = np.fmin(hi, np.where(on, above, -np.inf).max(axis=1))
+            w = np.where(on, s / el, 0.0)
+            level = (1.0 - s.sum(axis=1) + np.where(on, w * lm, 0.0).sum(axis=1)) / w.sum(axis=1)
+            level = np.where((level > lo) & (level < hi), level, 0.5 * (lo + hi))
+            step = np.where(on, s * np.exp((level[:, None] - lm) / el), 0.0)
+            step = np.where(snr[rows] / step < np.inf, step, 0.0)
+            step /= step.sum(axis=1, keepdims=True)
+            settled = met | np.all(np.abs(step - s) <= 4 * EPS * s, axis=1)
+            shares[rows[~settled]] = step[~settled]
+            rows, lo, hi = rows[~settled], lo[~settled], hi[~settled]
+    if rows.size:
+        raise ConvergenceError(
+            f"share Newton solve unconverged after {SHARE_NEWTON} steps on {rows.size} rows",
+            diagnostics={"rows": rows.tolist(), "lo": lo.tolist(), "hi": hi.tolist()},
+        )
+    return shares
 
 
 def _log_share_marginal(concavity, snr, share):
-    """The log family's share marginal m = U'·h, its slope in the share
-    -U'(U'h^2 + q^2/(share ln2)) and the scale U'·full of its terms, where
-    x = snr/share, q = x/(1+x), full = log2(1+x) and h = full - q/ln2.  It
-    rounds unlike ``interior_share_marginal``."""
+    """``(ln m, e, r)`` of the log family's share marginal m = U'·h: its
+    elasticity e = -(share·U'·h + q^2/(h ln2)) and r, the rounding of ln m,
+    with x = snr/share, q = x/(1+x), full = log2(1+x), h = full - q/ln2.
+    h cancels to eps·full/h; below x = 1e-3 it is x^2 p(x) by its series
+    to x^7 instead, and ln h = 2 ln x + ln p(x)."""
     x = snr / share
     q = x / (1.0 + x)
     full = np.log1p(x) / LN2
     slope = 1.0 / (concavity + share * full)
-    h = full - q / LN2
-    return slope * h, -slope * (slope * h * h + q * q / (share * LN2)), slope * full
+    small = x < 1e-3
+    poly = (0.5 - x * (2 / 3 - x * (0.75 - x * (0.8 - x * (5 / 6 - x * (6 / 7)))))) / LN2
+    h = np.where(small, x * x * poly, full - q / LN2)
+    log_h = np.where(small, 2.0 * np.log(x) + np.log(poly), np.log(h))
+    q2_h = np.where(small, 1.0 / ((1.0 + x) ** 2 * poly), q * q / h)
+    lm = np.log(slope) + log_h
+    return lm, -(share * slope * h + q2_h / LN2), 8 * EPS * (1.0 + np.abs(lm) + np.where(small, 1.0, full / h))
 
 
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):

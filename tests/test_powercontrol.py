@@ -332,6 +332,18 @@ class TestDownlink:
         energies, _ = update_energies_pooled(gains, shares, LogUtility(0.5), 2.5, LINK)
         assert_allclose(energies.sum(axis=1).mean(), 2.5, rtol=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_benchmark_downlink_training_makes_few_marginal_calls(self, seed, monkeypatch):
+        # the benchmark's N=3 downlink training at 0 dB; a bisected multiplier
+        # with an rtsafe inverse inside made 1,867 calls at seed 0
+        link = LinkBudget(snr_gap_db=8.2)
+        gains = np.random.default_rng(seed).exponential(link.noise_power / link.transmit_power, size=(100, 3))
+        calls = []
+        marginal = powercontrol._log_share_marginal
+        monkeypatch.setattr(powercontrol, "_log_share_marginal", lambda *args: calls.append(1) or marginal(*args))
+        solve_downlink(gains, LogUtility(0.1), 3.0, link)
+        assert len(calls) <= 200
+
 
 class TestApplyPolicy:
     def test_reproduces_training_samples(self):
