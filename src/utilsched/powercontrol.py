@@ -231,13 +231,13 @@ def _update_shares_general(u, snr, active):
 
 
 def _newton_shares(concavity, snr, shares, rows):
-    """Newton steps on each of ``rows``' KKT system ln m_i(s_i) = L, sum s_i = 1
-    (``_log_share_marginal``), from and into ``shares``; a 0 stays 0.  A step
-    sets L = (1 - sum s_i + sum w_i ln m_i)/sum w_i, w_i = s_i/e_i, scales
-    s_i by exp((L - ln m_i)/e_i) and renormalizes.  As in ``_level_step``'s
-    rtsafe, L keeps to a bracket, else bisects it: above each m_i(1), and
-    within the marginals of each point on the simplex.  A share too small
-    for snr/share to be a float drops to 0."""
+    """Newton steps on each of ``rows``' KKT system ln m_i(s_i) = L, sum s_i = 1,
+    from and into ``shares``; a 0 stays 0.  A step sets L = (1 - sum s_i +
+    sum w_i ln m_i)/sum w_i, w_i = s_i/e_i, scales s_i by exp((L - ln m_i)/e_i)
+    and renormalizes.  As in ``_level_step``'s rtsafe, L keeps to a bracket,
+    else bisects it: above each m_i(1), and within the marginals of each
+    point on the simplex.  A share too small for snr/share to be a float
+    drops to 0."""
     a = np.broadcast_to(concavity, snr.shape)
     # entries at share 0 give NaN or -inf, which the masks drop
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -247,9 +247,9 @@ def _newton_shares(concavity, snr, shares, rows):
         for _ in range(SHARE_NEWTON):
             if not rows.size:
                 break
-            s = shares[rows]
+            s, row_snr = shares[rows], snr[rows]
             on = s > 0
-            lm, el, tol = _log_share_marginal(a[rows], snr[rows], np.where(on, s, 1.0))
+            lm, el, tol = _log_share_marginal(a[rows], row_snr, np.where(on, s, 1.0))
             below, above = lm - tol, lm + tol
             met = np.where(on, below, -np.inf).max(axis=1) <= np.where(on, above, np.inf).min(axis=1)
             lo = np.fmax(lo, np.where(on, below, np.inf).min(axis=1))
@@ -258,7 +258,7 @@ def _newton_shares(concavity, snr, shares, rows):
             level = (1.0 - s.sum(axis=1) + np.where(on, w * lm, 0.0).sum(axis=1)) / w.sum(axis=1)
             level = np.where((level > lo) & (level < hi), level, 0.5 * (lo + hi))
             step = np.where(on, s * np.exp((level[:, None] - lm) / el), 0.0)
-            step = np.where(snr[rows] / step < np.inf, step, 0.0)
+            step = np.where(row_snr / step < np.inf, step, 0.0)
             step /= step.sum(axis=1, keepdims=True)
             settled = met | np.all(np.abs(step - s) <= 4 * EPS * s, axis=1)
             shares[rows[~settled]] = step[~settled]
