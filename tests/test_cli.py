@@ -427,13 +427,16 @@ class TestMemoryKnobsRejectedUpFront:
 
 
 class TestParentManifestsReplay:
-    """Manifests recorded before the CLI took its keys from ExperimentConfig.
+    """Every manifest recorded in ``tests/data`` replays to the same bytes.
 
-    The fairness one lists every sweep key, including the ones fairness
-    ignores; the sweep ones lack ``max_iterations``.
+    The ts-sweep, jtpc and fairness ones predate the CLI taking its keys from
+    ExperimentConfig: the fairness one lists every sweep key, including the
+    ones fairness ignores, and the sweep ones lack ``max_iterations``.
     """
 
-    @pytest.mark.parametrize("name", ["ts_sweep", "jtpc", "fairness"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name.removesuffix(".manifest.json") for p in DATA.glob("*.manifest.json"))
+    )
     def test_replays_verified(self, tmp_path, name, capsys):
         manifest = DATA / f"{name}.manifest.json"
         assert main(["replay", str(manifest), "--output", str(tmp_path)]) == 0

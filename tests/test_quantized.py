@@ -234,7 +234,7 @@ class TestBlockPick:
         real = quantized_module.bin_expected_utility
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.extend(np.atleast_1d(args[2]).tolist())  # one state, or one user's states
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quantized_module, "bin_expected_utility", counting)
