@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, LinkBudget, achievable_rate, sample_gains
+from .channel import ChannelModel, LinkBudget, achievable_rate
 from .errors import ConfigError, ConvergenceError
-from .simulate import MAX_JTPC_ENTRIES
+from .simulate import MAX_JTPC_ENTRIES, _block_gains
 from .timeshare import allocate_ts
 from .utility import as_utility
 
@@ -62,11 +62,7 @@ def adapt_weights(
     Iterates: estimate each user's average utility under the current
     weighted allocation, then push weights multiplicatively toward the
     underperforming users, w_i <- w_i * exp(step * (mean - avg_i)), and
-    renormalize.
-
-    Returns
-    -------
-    (weights, FairnessReport)
+    renormalize.  Returns the weights and a ``FairnessReport``.
 
     Raises
     ------
@@ -86,7 +82,7 @@ def adapt_weights(
             f"adapt_weights needs n_samples * users <= {MAX_JTPC_ENTRIES}, got {n_samples} * {nu}"
         )
     u = as_utility(utilities, nu)
-    gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])
+    gains = _block_gains(model, seed, range(n_samples))
     rates = achievable_rate(gains, link.transmit_power, link)
 
     weights = np.full(nu, 1.0 / nu)

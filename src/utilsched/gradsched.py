@@ -53,17 +53,18 @@ def _schedule_frames(avg_rates, smoothing: float, rates, utilities):
     """Run ``select_user`` then ``update_state`` over the rows of ``rates``.
 
     Returns the user chosen in each frame and the final average rates.  The
-    recursion runs on plain arrays with the utility resolved once, and keeps
-    the float operations of the two public functions in the same order, so
+    utility is resolved and ``smoothing * rates`` formed once per call; the
+    float operations are the two public functions', in the same order, so
     both results match the per-frame loop bit for bit.
     """
     derivative = as_utility(utilities, rates.shape[1]).derivative
     keep = 1.0 - smoothing
+    steps = smoothing * rates
     avg = avg_rates
     chosen = np.empty(len(rates), dtype=np.intp)
     for i, c in enumerate(rates):
-        k = int(np.argmax(derivative(avg) * c))
+        k = (derivative(avg) * c).argmax()
         avg = keep * avg
-        avg[k] += smoothing * c[k]
+        avg[k] += steps[i, k]
         chosen[i] = k
     return chosen, avg

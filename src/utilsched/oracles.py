@@ -12,12 +12,8 @@ from .utility import as_utility
 
 
 def grid_search_shares(peak_rates, utilities, step=1e-3, weights=None):
-    """Best share vector on the simplex grid with the given step (N <= 3).
-
-    Returns
-    -------
-    (shares, value) : (ndarray, float)
-    """
+    """Best share vector on the simplex grid with the given step (N <= 3),
+    and its objective value."""
     c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
     n = c.size
     u = as_utility(utilities, n)

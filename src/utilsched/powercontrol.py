@@ -371,11 +371,8 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     1e-6; a final rescale absorbs what is left.  A level whose energies pass
     the float range counts as overspent.  A budget too small for any level
     below the peak settles on the peak, and goes to the entries whose
-    zero-energy marginal is the peak, split evenly.
-
-    Returns
-    -------
-    (energies, multipliers) : (ndarray (n, N), ndarray (N,))
+    zero-energy marginal is the peak, split evenly.  Returns ``(energies,
+    multipliers)``, of shapes (n, N) and (N,).
 
     Raises
     ------
@@ -555,18 +552,10 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
 def solve_uplink(gains, utilities, budgets, link: LinkBudget, threshold=1e-6, max_iterations=100):
     """Jointly optimize shares and energies under per-user average budgets.
 
-    Parameters
-    ----------
-    gains : ndarray (n_samples, n_users)
-        Fixed channel sample set standing in for the gain distribution.
-    budgets : array_like (n_users,) or scalar
-        Average power budget per user.
-    threshold : float
-        Stop once the objective improves by less than this per iteration.
-
-    Returns
-    -------
-    (PowerPolicy, IterationTrace)
+    ``gains`` (n_samples, n_users) is the fixed sample set standing in for
+    the gain distribution, and ``budgets`` one average power budget per user
+    or a scalar.  Iterates until the objective improves by less than
+    ``threshold``; returns ``(PowerPolicy, IterationTrace)``.
 
     Raises
     ------

@@ -7,7 +7,7 @@ user's term is E[U(share * rate(g)) | g in its reported bin] under the
 truncated exponential gain density.
 
 Each frame's L slots go to its L largest utility increments, picked for a
-block of frames in one stable sort.  Because each user's increments shrink
+block of frames by one partition.  Because each user's increments shrink
 strictly as its share grows (strict concavity), these are the slots the
 slot-by-slot greedy takes, and by marginal analysis the split is optimal;
 the tests certify it against exhaustive enumeration instance by instance.
@@ -35,14 +35,7 @@ def _gl_rule():
     return leggauss(QUAD_NODES)
 
 
-def bin_expected_utility(
-    utility,
-    share,
-    state: int,
-    quantizer: Quantizer,
-    mean_gain: float,
-    link: LinkBudget,
-):
+def bin_expected_utility(utility, share, state, quantizer: Quantizer, mean_gain: float, link: LinkBudget):
     """E[U(share * rate(g)) | g in bin ``state``] for exponential gains.
 
     ``state`` is the 1-based quantizer state.  The expectation is taken
@@ -50,26 +43,29 @@ def bin_expected_utility(
     normalized by the bin mass; the unbounded last bin is truncated at the
     1 - TAIL_QUANTILE quantile.  Gauss-Legendre quadrature with QUAD_NODES
     nodes is exact to near machine precision on these smooth integrands.
-    ``share`` may be an array: one quadrature pass gives every entry's
-    value, equal bit for bit to its float call.  A share of 0 has value 0.
+    ``share`` and ``state`` may be arrays: one quadrature pass gives values
+    of shape ``state.shape + share.shape``, each equal bit for bit to its
+    scalar call.  A share of 0 has value 0.
     """
     share = np.asarray(share, dtype=float)
+    state = np.asarray(state)
     if not np.all((share >= 0.0) & (share <= 1.0)):  # NaN fails too
         raise ValueError(f"share must lie in [0, 1], got {share}")
-    if not 1 <= state <= quantizer.n_states:
+    if not np.all((1 <= state) & (state <= quantizer.n_states)):
         raise ValueError(f"state must lie in 1..{quantizer.n_states}, got {state}")
+    # one bin per state, broadcast over the share axes and the nodes
+    state = state.reshape(state.shape + (1,) * (share.ndim + 1))
     lower = quantizer.thresholds[state - 1]
-    upper = quantizer.thresholds[state]
-    if np.isinf(upper):
-        upper = -mean_gain * np.log(TAIL_QUANTILE)
-    mass = np.exp(-lower / mean_gain) - np.exp(-quantizer.thresholds[state] / mean_gain)
+    edge = quantizer.thresholds[state]
+    upper = np.where(np.isinf(edge), -mean_gain * np.log(TAIL_QUANTILE), edge)
+    mass = np.exp(-lower / mean_gain) - np.exp(-edge / mean_gain)
     nodes, weights = _gl_rule()
     g = 0.5 * (nodes + 1.0) * (upper - lower) + lower
     w = weights * 0.5 * (upper - lower)
     density = np.exp(-g / mean_gain) / mean_gain
     rates = achievable_rate(g, link.transmit_power, link)
     # nodes on the last axis: each share's sum runs as in a one-share call
-    values = np.sum(w * utility.value(share[..., None] * rates) * density, axis=-1) / mass
+    values = np.sum(w * utility.value(share[..., None] * rates) * density, axis=-1) / mass[..., 0]
     values = np.where(share == 0.0, 0.0, values)
     return float(values) if values.ndim == 0 else values
 
@@ -89,8 +85,9 @@ class QuantizedScheduler:
     """Slot allocator over quantized channel states with a cached value table.
 
     Expected utilities depend only on (user, reported state, slot count), so
-    one row is computed per (user, state) pair on first use and reused
-    across frames; an eager table would hold 2^16 rows per user at 16 bits.
+    one row of values and increments is computed per (user, state) pair on
+    first use and reused across frames; an eager table would hold 2^16 rows
+    per user at 16 bits.
     """
 
     utilities: object
@@ -116,40 +113,49 @@ class QuantizedScheduler:
 
     def share_utilities(self, user: int, state: int) -> np.ndarray:
         """Expected utilities of user at shares 0, 1/L, ..., 1 given its state."""
-        key = (user, state)
+        key = state * self.n_users + user
         if key not in self._table:
-            self._table[key] = bin_expected_utility(
-                self.utilities.for_user(user),
-                np.arange(self.n_slots + 1) / self.n_slots,
-                state,
-                self.quantizers[user],
-                self.mean_gains[user],
-                self.link,
-            )
-        return self._table[key]
+            self._fill(user, [state])
+        return self._table[key][0]
 
     def increments(self, user: int, state: int) -> np.ndarray:
         """Per-slot utility increments d(v) = value(v/L) - value((v-1)/L)."""
-        return np.diff(self.share_utilities(user, state))
+        self.share_utilities(user, state)
+        return self._table[state * self.n_users + user][1]
+
+    def _fill(self, user: int, states):
+        """Cache ``user``'s rows at ``states`` from one quadrature pass."""
+        values = bin_expected_utility(
+            self.utilities.for_user(user), np.arange(self.n_slots + 1) / self.n_slots, states,
+            self.quantizers[user], self.mean_gains[user], self.link,
+        )
+        for state, row, steps in zip(states, values, np.diff(values)):
+            self._table[state * self.n_users + user] = row, steps
 
     def greedy_allocate(self, states) -> np.ndarray:
         """Slot counts of each frame's L largest increments, shape of ``states``.
 
-        ``states`` is one frame (N,) or a block (T, N).  A stable sort of the
-        user-major increments orders them by value, then user, then slot; as
-        long as each user's increments do not increase (strict concavity),
-        its first L are the slot-by-slot greedy's picks, ties to lower users.
+        ``states`` is one frame (N,) or a block (T, N).  Each frame takes every
+        increment above its L-th largest, then those equal to it in user, then
+        slot order: the first L of a stable sort by value.  As long as each
+        user's increments do not increase (strict concavity), these are the
+        slot-by-slot greedy's picks, ties to the lower user.
         """
         states = self._check_states(states, max_ndim=2)
-        block = states.reshape(-1, self.n_users)
-        increments = np.empty(block.shape + (self.n_slots,))
-        for user in range(self.n_users):
-            distinct, rows = np.unique(block[:, user], return_inverse=True)
-            increments[:, user] = np.stack([self.increments(user, s) for s in distinct])[rows]
-        flat = increments.reshape(len(block), -1)  # user-major
-        picks = np.argsort(-flat, axis=1, kind="stable")[:, : self.n_slots]
-        counts = np.sum(picks[..., None] // self.n_slots == np.arange(self.n_users), axis=1)
-        return counts.reshape(states.shape)
+        n, slots = self.n_users, self.n_slots
+        block = states.reshape(-1, n)
+        keys, rows = np.unique(block * n + np.arange(n), return_inverse=True)
+        keys = keys.tolist()
+        missing = [k for k in keys if k not in self._table]
+        for user in sorted({k % n for k in missing}):  # np.unique here would import numpy.ma
+            self._fill(user, [k // n for k in missing if k % n == user])
+        table = np.stack([self._table[k][1] for k in keys])
+        flat = table[rows.reshape(-1)].reshape(len(block), n * slots)  # user-major
+        kth = np.partition(flat, -slots, axis=1)[:, [-slots]]
+        above = flat > kth
+        tied = flat == kth
+        take = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= slots - above.sum(axis=1, keepdims=True)))
+        return take.reshape(len(block), n, slots).sum(axis=2).reshape(states.shape)
 
     def exhaustive_allocate(self, states) -> np.ndarray:
         """Enumerate every slot split and return the best (ties: first in

@@ -267,6 +267,12 @@ class TestArrayShares:
         with pytest.raises(ValueError):
             bin_expected_utility(LogUtility(0.1), np.array([0.0, 0.5, bad]), 1, q, 1.0, LINK)
 
+    def test_one_bad_state_raises(self):
+        q = Quantizer.equal_probability(1.0, 1)
+        for bad in [0, 3]:
+            with pytest.raises(ValueError, match=r"state must lie in 1\.\.2"):
+                bin_expected_utility(LogUtility(0.1), 0.5, np.array([1, bad, 2]), q, 1.0, LINK)
+
 
 class TestBatchStates:
     def test_bad_state_names_its_frame_and_user(self):
