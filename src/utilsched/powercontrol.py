@@ -6,37 +6,26 @@ set of channel draws stands in for the gain distribution, expectations become
 sample means, and the solve is fully deterministic.
 
 The solver is nonlinear Gauss-Seidel block coordinate ascent on the jointly
-concave objective in (shares, energies), where energy = share * power:
+concave objective in (shares, energies), where energy = share * power.  From
+uniform shares and energies at the budgets it alternates two exact block
+updates until the objective rises by less than the threshold: per sample,
+shares given energies (simplex water filling); per user, energies given
+shares, with a water level solved until the sample-average energy meets the
+budget.  The uplink has one level per user, the downlink one pooled level.
+The recorded objective sequence is nondecreasing, as the tests assert.
 
-1. initialize with uniform shares and per-frame energies equal to the budgets
-2. per sample, re-optimize shares given energies (simplex water filling)
-3. record the sample-average objective
-4. per user, re-optimize energies given shares: a water-filling multiplier is
-   solved until the sample-average energy meets the power budget
-5. repeat 2-4 until the objective increment drops below the threshold
+Every inner solve is vectorized across the whole sample grid: each water
+level in its logarithm (``_level_step``), each energy in its log-SNR
+(``_waterfill_energies``), the two-user share split by bisection
+(``_bisect``), and at N >= 3 the log family's shares by a Newton solve per
+sample (``_newton_shares``); any other utility bisects.
 
-The uplink constrains each user's average energy separately; the downlink
-variant pools everything under one total-power multiplier.  Because every
-block update is an exact maximization, the recorded objective sequence is
-nondecreasing, which the tests assert directly.
-
-Every inner solve is vectorized across the whole sample grid.  Each budget
-water level is solved in its logarithm, by safeguarded Newton steps for the
-log family and by bisection for any other utility (``_level_step``); a
-level whose energies pass the float range counts as overspent, and one
-that settles on its peak gives its budget to the entries at the peak.
-Each energy is the root of one equation in its log-SNR, bracketed in closed
-form for every utility: the log family solves it by Newton's method from
-below (its Lambert-W form), any other utility by bisection.  The two-user
-share split is bisected (``_bisect``); ``apply_policy`` first replays it
-toward a guess (``_replay_pair_path``).  At N >= 3 the log family's share
-step is a Newton solve per sample (``_newton_shares``); any other utility
-bisects the simplex multiplier.  A share step computes the SNR once per
-call, and its bisections evaluate ``interior_share_marginal`` in (0, 1].
-
-``apply_policy`` re-solves fresh frames against the fixed multipliers by
-the same alternation, each frame until its own round drift is at most
-``APPLY_TOL``, so a frame's result does not depend on its batch.
+``apply_policy`` re-solves fresh frames against the fixed multipliers by the
+same alternation, each frame until its own round drift is at most
+``APPLY_TOL``, so a frame's result does not depend on its batch.  Each round
+replays the two-user bisection toward the frame's previous shares
+(``_replay_pair_path``) and reads the zero-energy marginals off one
+computation per batch.
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +43,7 @@ INNER_BISECT = 46
 # and the log family's Newton steps that sharpen its predicted share
 REPLAY_CELLS = 2**13
 PAIR_NEWTON = 3
+DYADIC = 2.0 ** np.arange(SHARE_BISECT + 1)  # 2^d at step d of the two-user bisection
 # caps of the log family's Newton solves and of the water-level solve, far
 # above the steps they take
 ENERGY_NEWTON = 100
@@ -81,12 +71,9 @@ class IterationTrace:
 
 @dataclass
 class PowerPolicy:
-    """Converged per-sample shares and energies plus the fixed multipliers.
-
-    ``multipliers`` are the energy water levels: one per user for the uplink,
-    a length-1 array for the downlink.  They define the policy on gains
-    outside the sample set (see ``apply_policy``).
-    """
+    """Converged per-sample shares and energies plus the fixed multipliers,
+    the energy water levels (one per user for the uplink, a length-1 array
+    for the downlink) that define the policy on new gains (``apply_policy``)."""
 
     gains: np.ndarray
     shares: np.ndarray
@@ -114,11 +101,10 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
     bisection, at N >= 3 by Newton steps for the log family and a nested
     bisection for any other utility.  Users with zero energy or zero gain in
     a sample get zero share there, a lone user that can transmit the whole
-    frame, and samples where nobody can transmit uniform shares.
-
-    A ``guess``, finite shares shaped like ``gains`` (else ``ValueError``)
-    such as the previous ones, lets the two-user step replay its path toward
-    it first; without one the step only bisects.  It moves no bit.
+    frame, and samples where nobody can transmit uniform shares.  A
+    ``guess``, finite shares shaped like ``gains`` (else ``ValueError``) such
+    as the previous ones, lets the two-user step replay its path toward it
+    first; without one the step only bisects.  It moves no bit.
     """
     gains = np.asarray(gains, dtype=float)
     energies = np.asarray(energies, dtype=float)
@@ -141,11 +127,8 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
 
 def _update_shares_pair(u, snr, active, guess):
     """Equalize the two marginals by bisection on the first user's share.
-
-    Each midpoint and its complement are dyadic numbers strictly inside
-    (0, 1), so each step evaluates the interior marginal alone.  Only a
-    ``guess`` replays the first steps in one batch (``_replay_pair_path``).
-    """
+    Each midpoint and its complement lie strictly inside (0, 1), so each step
+    evaluates the interior marginal alone; a ``guess`` replays the first steps."""
     n = snr.shape[0]
     rho = np.empty((n, 2))
 
@@ -157,11 +140,11 @@ def _update_shares_pair(u, snr, active, guess):
 
     done, lo, hi = _replay_pair_path(u, snr, active, guess)
     first = _bisect(rises, lo, hi, SHARE_BISECT - done)
-    # single-transmitter and dead samples override the interior solution
-    first = np.where(active[:, 0] & ~active[:, 1], 1.0, first)
-    first = np.where(active[:, 1] & ~active[:, 0], 0.0, first)
-    first = np.where(~active.any(axis=1), 0.5, first)
-    return np.column_stack([first, 1.0 - first])
+    # a lone transmitter takes the frame, and dead samples split it evenly
+    one, two = active[:, 0], active[:, 1]
+    rho[:, 0] = np.where(one == two, np.where(one, first, 0.5), one)
+    rho[:, 1] = 1.0 - rho[:, 0]
+    return rho
 
 
 def _replay_pair_path(u, snr, active, guess):
@@ -171,7 +154,8 @@ def _replay_pair_path(u, snr, active, guess):
     share g is known: at step d the bracket is [k_d, k_d + 1]/2^d with
     k_d = ceil(g 2^d) - 1, and the step rises iff its midpoint lies below g.
     g is the guess (1/2 outside (0, 1)), sharpened for the log family by
-    ``PAIR_NEWTON`` Newton steps on m0(g) - m1(1 - g).  Up to the first step
+    ``PAIR_NEWTON`` Newton steps on ln m0(g) - ln m1(1 - g), h in its series
+    below x = 1e-3 only (see ``_log_share_marginal``).  Up to the first step
     on which some row with two transmitters rises otherwise, each such row's
     path is its bisection's own, so the bits are those of the bisection from
     [0, 1].  Returns ``(done, lo, hi)``: the steps taken and each row's
@@ -182,19 +166,29 @@ def _replay_pair_path(u, snr, active, guess):
     if guess is None or not depth:
         return 0, np.zeros(n), np.ones(n)
     g = np.where((guess > 0) & (guess < 1), guess, 0.5)
-    if isinstance(u, LogUtility):
-        for _ in range(PAIR_NEWTON):
-            # a user that cannot transmit has ln m = -inf: its trials keep g
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                lm, el, _ = _log_share_marginal(u.concavity, snr, np.column_stack([g, 1.0 - g]))
-                trial = g - (lm[:, 0] - lm[:, 1]) / (el[:, 0] / g + el[:, 1] / (1.0 - g))
-            g = np.where((trial > 0) & (trial < 1), trial, g)
-    scale = 2.0 ** np.arange(depth + 1)
-    k = np.ceil(g[:, None] * scale) - 1.0
-    mid = (2.0 * k[:, :-1] + 1.0) / (2.0 * scale[:-1])
-    rho = np.stack([mid, 1.0 - mid], axis=-1)
-    # a midpoint off the bisection's path can overflow x: its NaN only ends the replay
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a user that cannot transmit has m = 0: its trials keep g; a midpoint off
+    # the bisection's path can overflow x: its NaN only ends the replay
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(u, LogUtility):
+            rho = np.empty((n, 2))
+            for _ in range(PAIR_NEWTON):
+                # m = h/(A + share·full), and d ln m/d share = -(m + q^2/(share·h·ln2))
+                rho[:, 0], rho[:, 1] = g, 1.0 - g
+                x = snr / rho
+                full = np.log1p(x) / LN2
+                q = x / (1.0 + x)
+                h = full - q / LN2
+                small = x < 1e-3
+                if small.any():
+                    h = np.where(small, x * x * _h_series(x), h)
+                m = h / (u.concavity + rho * full)
+                trial = g + np.log(m[:, 0] / m[:, 1]) / (m + q * q / (rho * h * LN2)).sum(axis=1)
+                g = np.where((trial > 0) & (trial < 1), trial, g)
+        scale = DYADIC[: depth + 1]
+        k = np.ceil(g[:, None] * scale) - 1.0
+        mid = (2.0 * k[:, :-1] + 1.0) / (2.0 * scale[:-1])
+        rho = np.empty(mid.shape + (2,))
+        rho[..., 0], rho[..., 1] = mid, 1.0 - mid
         m = interior_share_marginal(u, snr[:, None, :] / rho, rho)
     agree = ((m[..., 0] > m[..., 1]) == (mid < g[:, None])) | ~active.all(axis=1)[:, None]
     done = int(np.argmin(agree.all(axis=0))) if not agree.all() else depth
@@ -282,7 +276,7 @@ def _log_share_marginal(concavity, snr, share):
     full = np.log1p(x) / LN2
     slope = 1.0 / (concavity + share * full)
     small = x < 1e-3
-    poly = (0.5 - x * (2 / 3 - x * (0.75 - x * (0.8 - x * (5 / 6 - x * (6 / 7)))))) / LN2
+    poly = _h_series(x)
     h = np.where(small, x * x * poly, full - q / LN2)
     log_h = np.where(small, 2.0 * np.log(x) + np.log(poly), np.log(h))
     q2_h = np.where(small, 1.0 / ((1.0 + x) ** 2 * poly), q * q / h)
@@ -290,20 +284,26 @@ def _log_share_marginal(concavity, snr, share):
     return lm, -(share * slope * h + q2_h / LN2), 8 * EPS * (1.0 + np.abs(lm) + np.where(small, 1.0, full / h))
 
 
+def _h_series(x):
+    """h/x^2 by the series of h = log2(1 + x) - x/((1 + x) ln2) to x^7, for small x."""
+    return (0.5 - x * (2 / 3 - x * (0.75 - x * (0.8 - x * (5 / 6 - x * (6 / 7)))))) / LN2
+
+
 def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
-    ``multiplier`` broadcasts over the (n_samples, n_users) grid.  In
-    t = ln(1 + energy·snr/share) the condition reads g(t) = 0 with
+    ``multiplier`` broadcasts over the (n_samples, n_users) grid, and
+    ``m_zero``, the zero-energy marginals on it, is computed unless given.
+    In t = ln(1 + energy·snr/share) the condition reads g(t) = 0 with
     g(t) = t - ln(U'(share·t/ln2)/U'(0)) - c and c = ln(m_zero/multiplier);
     g(0) = -c and U' decreases, so the root lies in [0, c] for every utility.
     The log family's g is t + log1p(r t) - c with r = share/(A ln2), an
-    exact form of its Lambert-W solution (Corless et al., On the Lambert W
-    function, 1996): concave with g' >= 1, so Newton's method from the lower
-    bound max(c/(1+r), c - log1p(r c)) rises monotonically to the root.  Any
-    other utility bisects g on [0, c].  Raises ``ConvergenceError`` if a
-    Newton solve hits its cap or an energy is not a finite float; the
-    latter's diagnostics hold the energies, inf past the float range.
+    exact form of its Lambert-W solution (Corless et al., 1996): concave with
+    g' >= 1, so Newton's method from the lower bound max(c/(1+r),
+    c - log1p(r c)) rises monotonically to the root.  Any other utility
+    bisects g on [0, c].  Raises ``ConvergenceError`` if a Newton solve hits
+    its cap or an energy is not a finite float; the latter's diagnostics hold
+    the energies, inf past the float range.
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
@@ -313,11 +313,11 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     if not active.any():
         return zeros
 
-    def at(grid):
-        return np.broadcast_to(grid, active.shape)[active]
+    def at(grid):  # np.broadcast_to takes longer on a few rows
+        return np.where(active, grid, 0.0)[active]
 
-    snr, share = at(gains) / link.effective_noise, at(shares)
-    c = np.log(at(m_zero)) - np.log(at(multiplier))
+    snr, share = gains[active] / link.effective_noise, shares[active]
+    c = np.log(m_zero[active]) - np.log(at(multiplier))
     if isinstance(u, LogUtility):
         r = share / (LN2 * at(u.concavity))
         t = np.maximum(c / (1.0 + r), c - np.log1p(r * c))
@@ -327,7 +327,7 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
             step = (c - t - np.log1p(rt)) / (1.0 + r / (1.0 + rt))
             t = np.where(done, t, t + step)
             done |= step <= 4 * EPS * t
-            if done.all():
+            if np.count_nonzero(done) == t.size:  # ndarray.all takes longer on a few entries
                 break
         if not done.all():
             raise ConvergenceError(
@@ -362,17 +362,13 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
 
     For each user a positive multiplier (water level) is solved until the
     sample-average energy meets the budget; per-sample energies are the
-    water-filling inverse of the energy marginal at that multiplier.
-
-    Each level solves ln(spent/budget) = 0 in the log of the level, between
-    ``LOG_FLOOR`` and the log of the largest zero-energy marginal, where
-    nothing is spent (``_level_step``).  It stops on its own residual, or
-    once its bracket closes to a few ulps, as it does below a budget of about
-    1e-6; a final rescale absorbs what is left.  A level whose energies pass
-    the float range counts as overspent.  A budget too small for any level
-    below the peak settles on the peak, and goes to the entries whose
-    zero-energy marginal is the peak, split evenly.  Returns ``(energies,
-    multipliers)``, of shapes (n, N) and (N,).
+    water-filling inverse of the energy marginal at that multiplier.  Each
+    level solves ln(spent/budget) = 0 in the log of the level, between
+    ``LOG_FLOOR`` and the log of the largest zero-energy marginal
+    (``_level_step``); a final rescale absorbs what is left.  A budget too
+    small for any level below the peak goes to the entries whose zero-energy
+    marginal is the peak, split evenly.  Returns ``(energies, multipliers)``,
+    of shapes (n, N) and (N,).
 
     Raises
     ------
@@ -385,10 +381,8 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
 
 
 def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBudget):
-    """Downlink variant: one multiplier, sample-average total energy budget.
-
-    Returns ``(energies, multipliers)`` with a length-1 multiplier array.
-    """
+    """Downlink variant: one multiplier, sample-average total energy budget;
+    returns ``(energies, multipliers)`` with a length-1 multiplier array."""
     return _meet_budgets(gains, shares, utilities, total_budget, link, pooled=True)
 
 
@@ -505,10 +499,18 @@ def sample_objective(gains, shares, energies, utilities, link: LinkBudget) -> fl
     return float(values.sum(axis=1).mean())
 
 
+def _check_gains(gains):
+    """Raise ``ValueError`` naming the first gain that is negative or not finite."""
+    bad = np.argwhere(~((gains >= 0) & (gains < np.inf)))
+    if bad.size:
+        raise ValueError(f"gains must be finite and >= 0, got {gains[tuple(bad[0])]} at {bad[0].tolist()}")
+
+
 def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2 or gains.shape[0] < 1:
         raise ValueError("need a nonempty (n_samples, n_users) gain matrix")
+    _check_gains(gains)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     n, nu = gains.shape
@@ -538,14 +540,8 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
             f"objective still improving after {max_iterations} iterations", diagnostics=trace
         )
 
-    policy = PowerPolicy(
-        gains=gains,
-        shares=shares,
-        energies=energies,
-        budgets=budgets,
-        multipliers=np.asarray(multipliers),
-        pooled=pooled,
-    )
+    policy = PowerPolicy(gains=gains, shares=shares, energies=energies, budgets=budgets,
+                         multipliers=np.asarray(multipliers), pooled=pooled)
     return policy, trace
 
 
@@ -575,19 +571,19 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget, 
     """Evaluate the converged policy on a batch of fresh gain vectors.
 
     The training multipliers stay fixed; per-frame shares and energies are
-    re-solved against them by alternating the two block updates, which is
-    coordinate ascent on each frame's multiplier-penalized utility, for at
-    most ``max_rounds`` rounds.  Training stops on its own objective
-    threshold, so a training sample's result can differ from its stored one.
-
-    Both block updates act on each frame alone, and so does the stop rule: a
+    re-solved against them by alternating the two block updates (coordinate
+    ascent on each frame's multiplier-penalized utility) for at most
+    ``max_rounds`` rounds, so a training sample's result can differ from its
+    stored one.  Both updates and the stop rule act on each frame alone: a
     frame leaves the loop once its largest share change plus its largest
-    energy change in a round is at most ``APPLY_TOL``.  A frame's result is
-    therefore the same in any batch.  Each round's share step takes the
-    frame's previous shares as its ``guess``, which saves most of its
-    bisection steps and moves no bit.
+    energy change in a round is at most ``APPLY_TOL``, so its result is the
+    same in any batch.  Each share step takes the frame's previous shares as
+    its ``guess``, and the zero-energy marginals are computed once per batch:
+    at zero energy the rate is 0, so the share matters only through share > 0.
+    Neither moves a bit.
 
-    ``frame_gains`` is (n_frames, N); so are the returned shares and energies.
+    ``frame_gains`` is (n_frames, N), finite and >= 0, with the policy's N
+    (else ``ValueError``); so are the returned shares and energies.
     """
     g = np.asarray(frame_gains, dtype=float)
     if g.ndim != 2 or max_rounds < 1:
@@ -595,18 +591,22 @@ def apply_policy(policy: PowerPolicy, frame_gains, utilities, link: LinkBudget, 
             f"apply_policy needs (n_frames, N) gains and max_rounds >= 1, got shape {g.shape}, {max_rounds}"
         )
     n, nu = g.shape
+    if nu != policy.gains.shape[1]:
+        raise ValueError(f"the policy is for {policy.gains.shape[1]} users, the frames have {nu}")
+    _check_gains(g)
     u = as_utility(utilities, nu)
     lam = policy.multipliers[None, :]
+    m_full = u.marginal_energy(1.0, 0.0, g, link)
 
     shares = np.full((n, nu), 1.0 / nu)
-    energies = _waterfill_energies(u, g, shares, link, lam)
+    energies = _waterfill_energies(u, g, shares, link, lam, m_full)
     live = np.arange(n)
     for _ in range(max_rounds):
         if not live.size:
             break
         gains, old_shares, old_energies = g[live], shares[live], energies[live]
         new_shares = update_shares(gains, old_energies, u, link, guess=old_shares)
-        new_energies = _waterfill_energies(u, gains, new_shares, link, lam)
+        new_energies = _waterfill_energies(u, gains, new_shares, link, lam, np.where(new_shares > 0, m_full[live], 0.0))
         drift = np.abs(new_shares - old_shares).max(axis=1) + np.abs(new_energies - old_energies).max(axis=1)
         shares[live], energies[live] = new_shares, new_energies
         live = live[~(drift <= APPLY_TOL)]  # a NaN drift is still moving

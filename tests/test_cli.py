@@ -144,6 +144,17 @@ class TestSweepCommands:
         assert "mean_snr_db=3080.0, " in row["error"]
         assert "sweep point failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gain draw overflows on purpose
+    def test_infinite_gains_exit_3_before_any_solve(self, tmp_path, capsys):
+        # gains past the float range used to end in unsettled water levels
+        status = main(["jtpc", "--mean-snr-db", "3080", "--training-samples", "20", "--frames", "5",
+                       "--output", str(tmp_path)])
+        assert status == 3
+        _, rows = read_csv(tmp_path / "jtpc.csv")
+        assert rows[0]["taur"] == ""
+        assert rows[0]["error"].startswith("ValueError: gains must be finite and >= 0, got inf at [")
+        assert "sweep point failed" in capsys.readouterr().err
+
     def test_error_with_commas_is_one_cell(self, tmp_path, monkeypatch):
         message = "users [0, 1] cannot meet their budgets, first frame 3"
         run = simulate.run_experiment

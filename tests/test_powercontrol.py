@@ -366,6 +366,15 @@ class TestApplyPolicy:
         with pytest.raises(ValueError, match="n_frames"):
             apply_policy(policy, np.array([1.5, 0.5]), u, LINK)
 
+    @pytest.mark.parametrize("trained, frames, pooled", [(2, 3, True), (2, 1, False), (2, 3, False)],
+                             ids=["pooled-n2-on-n3", "uplink-n2-on-n1", "uplink-n2-on-n3"])
+    def test_policy_and_frames_must_agree_on_n(self, trained, frames, pooled):
+        gains = np.random.default_rng(3).exponential(1.0, size=(20, trained))
+        solve = solve_downlink if pooled else solve_uplink
+        policy, _ = solve(gains, LogUtility(0.5), 1.0, LINK)
+        with pytest.raises(ValueError, match=f"policy is for {trained} users, the frames have {frames}"):
+            apply_policy(policy, np.ones((4, frames)), LogUtility(0.5), LINK)
+
     @pytest.mark.parametrize("seed", [0, 7919])
     def test_benchmark_jtpc_apply_makes_few_marginal_calls(self, seed, monkeypatch):
         # the 0 dB jtpc config on which apply_policy runs to its 300-round cap;
@@ -377,6 +386,30 @@ class TestApplyPolicy:
         calls = record_marginal_ndims(monkeypatch)
         apply_policy(policy, frames, u, link)
         assert len(calls) <= 3000
+
+
+class TestInvalidGains:
+    """Negative, NaN and infinite gains are rejected before any work."""
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("call", ["uplink", "downlink", "apply"])
+    def test_first_bad_gain_is_named(self, call, bad):
+        gains = np.ones((4, 2))
+        gains[2, 1] = gains[3, 0] = bad
+        u = LogUtility(1.0)
+        policy, _ = solve_uplink(np.ones((4, 2)), u, 1.0, LINK)
+        run = {
+            "uplink": lambda: solve_uplink(gains, u, 1.0, LINK),
+            "downlink": lambda: solve_downlink(gains, u, 1.0, LINK),
+            "apply": lambda: apply_policy(policy, gains, u, LINK),
+        }[call]
+        with pytest.raises(ValueError, match=rf"gains must be finite and >= 0, got {bad} at \[2, 1\]"):
+            run()
+
+    def test_zero_gains_are_valid(self):
+        policy, _ = solve_uplink(np.array([[1.0, 0.0], [0.0, 2.0]]), LogUtility(1.0), 1.0, LINK)
+        shares, energies = apply_policy(policy, np.array([[0.0, 0.0], [0.0, 1.0]]), LogUtility(1.0), LINK)
+        assert np.array_equal(energies[0], [0.0, 0.0]) and np.array_equal(shares[1], [0.0, 1.0])
 
 
 class TestUnbracketedEnergy:
