@@ -126,9 +126,9 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
 
 
 def _update_shares_pair(u, snr, active, guess):
-    """Equalize the two marginals by bisection on the first user's share.
-    Each midpoint and its complement lie strictly inside (0, 1), so each step
-    evaluates the interior marginal alone; a ``guess`` replays the first steps."""
+    """Equalize the two marginals by bisection on the first user's share,
+    whose midpoints and their complements lie strictly inside (0, 1), so each
+    step evaluates the interior marginal alone; a ``guess`` replays the first steps."""
     n = snr.shape[0]
     rho = np.empty((n, 2))
 
