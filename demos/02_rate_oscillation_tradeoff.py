@@ -11,7 +11,7 @@ from utilsched import ExperimentConfig, run_experiment
 
 
 def main():
-    base = dict(n_users=8, mean_snr_db=10.0, snr_gap_db=8.2, n_frames=10_000, seed=7)
+    base = dict(users=8, mean_snr_db=10.0, snr_gap_db=8.2, frames=10_000, seed=7)
 
     print(f"{'policy':>12} {'concavity':>10} {'mean rate':>10} {'rate std':>10}")
     for concavity in (0.1, 1.0, 10.0):

@@ -16,8 +16,8 @@ def main():
     print(f"{'snr (dB)':>9} {'time-share':>11} {'joint':>9} {'gain %':>7}")
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         base = dict(
-            n_users=2, mean_snr_db=snr_db, snr_gap_db=8.2, concavity=0.1,
-            n_frames=2000, seed=21,
+            users=2, mean_snr_db=snr_db, snr_gap_db=8.2, concavity=0.1,
+            frames=2000, seed=21,
         )
         ts = run_experiment(ExperimentConfig(policy="ts", **base))
         joint = run_experiment(

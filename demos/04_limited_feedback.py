@@ -12,22 +12,22 @@ from utilsched import ExperimentConfig, run_experiment
 
 
 def main():
-    base = dict(mean_snr_db=10.0, snr_gap_db=8.2, concavity=0.1, n_frames=5000, seed=13)
+    base = dict(mean_snr_db=10.0, snr_gap_db=8.2, concavity=0.1, frames=5000, seed=13)
 
-    full = run_experiment(ExperimentConfig(n_users=8, policy="ts", **base))
+    full = run_experiment(ExperimentConfig(users=8, policy="ts", **base))
     print(f"unquantized time sharing, 8 users: taur {full.taur:.4f}\n")
 
     print(f"{'feedback bits':>14} {'taur':>8} {'fraction of unquantized':>25}")
     for bits in (1, 2, 3):
         stats = run_experiment(
-            ExperimentConfig(n_users=8, policy="qtsl", n_slots=8, feedback_bits=bits, **base)
+            ExperimentConfig(users=8, policy="qtsl", slots=8, feedback_bits=bits, **base)
         )
         print(f"{bits:>14} {stats.taur:>8.4f} {stats.taur / full.taur:>25.3f}")
 
     half_slots = run_experiment(
-        ExperimentConfig(n_users=8, policy="qtsl", n_slots=4, feedback_bits=3, **base)
+        ExperimentConfig(users=8, policy="qtsl", slots=4, feedback_bits=3, **base)
     )
-    small_net = run_experiment(ExperimentConfig(n_users=4, policy="ts", **base))
+    small_net = run_experiment(ExperimentConfig(users=4, policy="ts", **base))
     print(f"\n8 users on 4 slots: taur {half_slots.taur:.4f}")
     print(f"4 users, full sharing: taur {small_net.taur:.4f}")
     print("Multiuser selection beats granularity: the bigger pool wins "

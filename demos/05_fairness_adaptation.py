@@ -24,16 +24,16 @@ def main():
     link = LinkBudget(snr_gap_db=8.2)
     model = ChannelModel.from_snr_db(np.array([0.0, 10.0]), link)
     utility = LogUtility(0.1)
-    n_samples, seed = 1500, 3
+    frames, seed = 1500, 3
 
-    gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])
+    gains = np.stack([sample_gains(model, seed, t) for t in range(frames)])
     rates = achievable_rate(gains, link.transmit_power, link)
     unweighted = average_utilities(rates, utility, np.array([0.5, 0.5]))
     print("average utilities at uniform weights:", np.round(unweighted, 4),
           "(the 0 dB user starves)")
 
     weights, report = adapt_weights(
-        model, utility, link, tolerance=1e-3, n_samples=n_samples, seed=seed
+        model, utility, link, tolerance=1e-3, frames=frames, seed=seed
     )
     print(f"\nconverged in {report.iterations} iterations")
     print("final weights:", np.round(weights, 4))

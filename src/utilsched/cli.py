@@ -16,11 +16,11 @@ replay
 
 Config files are flat ``key = value`` text; every key is also exposed as a
 ``--key`` flag which overrides the file, and every subcommand accepts every
-key, ignoring those it does not read.  The sweep keys, with their types,
-defaults and sweep axes, are the fields of ``ExperimentConfig``; fairness
-reads six of them plus the ``tolerance``, ``step`` and ``max_iterations``
-parameters of ``adapt_weights``, with that signature's defaults.  Exit codes: 0 success, 1 failed self-check or replay
-mismatch, 2 invalid config, 3 numeric failure.
+key, ignoring those it does not read.  The sweep keys, by name, type, default
+and sweep axis, are the fields of ``ExperimentConfig``; fairness reads six of
+them plus the ``tolerance``, ``step`` and ``max_iterations`` parameters of
+``adapt_weights``, with that signature's defaults.  Exit codes: 0 success,
+1 failed self-check or replay mismatch, 2 invalid config, 3 numeric failure.
 """
 
 import argparse
@@ -49,8 +49,8 @@ from .utility import LogUtility
 
 OUTPUT_DIR_ENV = "UTILSCHED_OUTDIR"
 
-# CLI key -> ExperimentConfig field, in field order: the sweep CSV's column order
-FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
+# the sweep keys, which are ExperimentConfig's fields, in the sweep CSV's column order
+FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 # the keys of the sweep commands, with their defaults
 SWEEP_KEYS = {key: f.default for key, f in FIELDS.items()}
 # fairness reads these ExperimentConfig keys, then these adapt_weights knobs
@@ -131,7 +131,7 @@ def expand_sweep(config: dict) -> list:
 
 def _experiment(point: dict) -> ExperimentConfig:
     try:
-        return ExperimentConfig(**{FIELDS[key].name: value for key, value in point.items()})
+        return ExperimentConfig(**point)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -240,11 +240,11 @@ def cmd_fairness(args) -> int:
     experiment = _experiment({key: config[key] for key in FAIRNESS_SHARED})
     weights, report = adapt_weights(
         experiment.channel(), experiment.utilities(), experiment.link(),
-        n_samples=experiment.n_frames, seed=experiment.seed,
+        frames=experiment.frames, seed=experiment.seed,
         **{key: config[key] for key in FAIRNESS_KNOBS},
     )
 
-    n = experiment.n_users
+    n = experiment.users
     per_user = {key: experiment.per_user(key).tolist() for key in PER_USER}
     header = [*FAIRNESS_SHARED, "tolerance", "step", "iterations", "spread", "common_value"]
     header += [f"weight_user_{i + 1}" for i in range(n)]

@@ -7,9 +7,9 @@ yields the exact weighted-sum maximizer per frame (hence a Pareto-optimal
 operating point on the fixed sample set); the multiplicative update then
 walks along the frontier toward the equal-utility point.
 
-Averages are estimated on one fixed seeded sample set (common random
-numbers), so the average-utility map is a deterministic function of the
-weights and the adaptation itself is reproducible.
+Averages are estimated on one fixed set of ``frames`` frames drawn from
+``seed`` (common random numbers), so the average-utility map is a
+deterministic function of the weights and the adaptation is reproducible.
 """
 
 from dataclasses import dataclass
@@ -52,7 +52,7 @@ def adapt_weights(
     utilities,
     link: LinkBudget,
     tolerance: float = 1e-3,
-    n_samples: int = 2000,
+    frames: int = 2000,
     seed: int = 0,
     step: float = 0.5,
     max_iterations: int = 50,
@@ -70,19 +70,19 @@ def adapt_weights(
         If the spread never falls below ``tolerance``; the best-so-far
         report rides along in ``diagnostics``.
     """
-    if not (tolerance > 0 and 0 < step < np.inf and n_samples >= 1 and max_iterations >= 0):
+    if not (tolerance > 0 and 0 < step < np.inf and frames >= 1 and max_iterations >= 0):
         raise ConfigError(
-            f"adapt_weights needs tolerance > 0, finite step > 0, n_samples >= 1 and "
-            f"max_iterations >= 0, got {tolerance}, {step}, {n_samples} and {max_iterations}"
+            f"adapt_weights needs tolerance > 0, finite step > 0, frames >= 1 and "
+            f"max_iterations >= 0, got {tolerance}, {step}, {frames} and {max_iterations}"
         )
     nu = model.n_users
     # gains, rates and shares of every sample are held at once
-    if n_samples * nu > MAX_JTPC_ENTRIES:
+    if frames * nu > MAX_JTPC_ENTRIES:
         raise ConfigError(
-            f"adapt_weights needs n_samples * users <= {MAX_JTPC_ENTRIES}, got {n_samples} * {nu}"
+            f"adapt_weights needs frames * users <= {MAX_JTPC_ENTRIES}, got {frames} * {nu}"
         )
     u = as_utility(utilities, nu)
-    gains = _block_gains(model, seed, range(n_samples))
+    gains = _block_gains(model, seed, range(frames))
     rates = achievable_rate(gains, link.transmit_power, link)
 
     weights = np.full(nu, 1.0 / nu)

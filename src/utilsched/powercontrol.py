@@ -158,8 +158,9 @@ def _replay_pair_path(u, snr, active, guess):
     below x = 1e-3 only (see ``_log_share_marginal``).  Up to the first step
     on which some row with two transmitters rises otherwise, each such row's
     path is its bisection's own, so the bits are those of the bisection from
-    [0, 1].  Returns ``(done, lo, hi)``: the steps taken and each row's
-    bracket.  No guess, or more than ``REPLAY_CELLS`` rows, takes none.
+    [0, 1], and so is that step's midpoint, whose outcome is kept.  Returns
+    ``(done, lo, hi)``: the steps taken and each row's bracket.  No guess,
+    or more than ``REPLAY_CELLS`` rows, takes none.
     """
     n = snr.shape[0]
     depth = min(SHARE_BISECT, REPLAY_CELLS // max(n, 1))
@@ -190,9 +191,12 @@ def _replay_pair_path(u, snr, active, guess):
         rho = np.empty(mid.shape + (2,))
         rho[..., 0], rho[..., 1] = mid, 1.0 - mid
         m = interior_share_marginal(u, snr[:, None, :] / rho, rho)
-    agree = ((m[..., 0] > m[..., 1]) == (mid < g[:, None])) | ~active.all(axis=1)[:, None]
+    up = m[..., 0] > m[..., 1]
+    agree = (up == (mid < g[:, None])) | ~active.all(axis=1)[:, None]
     done = int(np.argmin(agree.all(axis=0))) if not agree.all() else depth
-    return done, k[:, done] / scale[done], (k[:, done] + 1.0) / scale[done]
+    # a rising step keeps the upper half: k_(d+1) = 2 k_d + 1
+    k, done = (2.0 * k[:, done] + up[:, done], done + 1) if done < depth else (k[:, done], done)
+    return done, k / scale[done], (k + 1.0) / scale[done]
 
 
 def _update_shares_general(u, snr, active):
@@ -289,11 +293,11 @@ def _h_series(x):
     return (0.5 - x * (2 / 3 - x * (0.75 - x * (0.8 - x * (5 / 6 - x * (6 / 7)))))) / LN2
 
 
-def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
+def _waterfill_energies(u, gains, shares, link, multiplier, m_zero):
     """Per-entry energies solving marginal_energy == multiplier, clamped at 0.
 
     ``multiplier`` broadcasts over the (n_samples, n_users) grid, and
-    ``m_zero``, the zero-energy marginals on it, is computed unless given.
+    ``m_zero`` holds the zero-energy marginals on it.
     In t = ln(1 + energy·snr/share) the condition reads g(t) = 0 with
     g(t) = t - ln(U'(share·t/ln2)/U'(0)) - c and c = ln(m_zero/multiplier);
     g(0) = -c and U' decreases, so the root lies in [0, c] for every utility.
@@ -307,8 +311,6 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero=None):
     """
     n, nu = gains.shape
     zeros = np.zeros((n, nu))
-    if m_zero is None:
-        m_zero = u.marginal_energy(shares, zeros, gains, link)
     active = (shares > 0) & (gains > 0) & (m_zero > multiplier)
     if not active.any():
         return zeros

@@ -45,10 +45,10 @@ MAX_JTPC_ENTRIES = 10**6
 MAX_SLOT_ENTRIES = 2**16
 
 
-def _key(default, name=None, sweep=False, column=True):
-    """A field that is also a CLI key: ``name`` is the key if it is not the
-    field's name, ``sweep`` lets a list be a sweep axis, ``column`` puts it in the CSV."""
-    return field(default=default, metadata={"key": name, "sweep": sweep, "column": column})
+def _key(default, sweep=False, column=True):
+    """A field whose name is also its CLI key: ``sweep`` lets a list be a
+    sweep axis, ``column`` puts it in the CSV."""
+    return field(default=default, metadata={"sweep": sweep, "column": column})
 
 
 @dataclass
@@ -57,39 +57,39 @@ class ExperimentConfig:
 
     ``mean_snr_db``, ``concavity`` and ``power_budget`` accept a scalar
     (symmetric users) or one value per user.  Policy-specific knobs are
-    ignored by the other policies.  Each field is also a CLI key, with the
-    field's default and type, and the fields come in the order of the sweep
-    CSV's columns.  Construction raises ``ValueError`` for an out-of-range
-    or non-finite value, before any work.
+    ignored by the other policies.  Each field's name is also its CLI key,
+    with the field's default and type, and the fields come in the order of
+    the sweep CSV's columns.  Construction raises ``ValueError``, naming the
+    key, for an out-of-range or non-finite value, before any work.
     """
 
-    n_users: int = _key(2, "users", sweep=True)
+    users: int = _key(2, sweep=True)
     mean_snr_db: object = _key(10.0, sweep=True)
     snr_gap_db: float = _key(8.2)
     concavity: object = _key(0.1, sweep=True)
     policy: str = _key("ts")
     # gradient scheduler
-    smoothing: float = _key(0.01, "alpha")
+    alpha: float = _key(0.01)
     # joint power control
     delta: float = _key(1e-6)
     power_budget: object = _key(1.0)
     # quantized time sharing; 0 slots means one slot per user
-    n_slots: int = _key(0, "slots", sweep=True)
+    slots: int = _key(0, sweep=True)
     feedback_bits: int = _key(3, sweep=True)
-    n_frames: int = _key(10_000, "frames")
+    frames: int = _key(10_000)
     seed: int = _key(0)
     training_samples: int = _key(10_000)
     max_iterations: int = _key(100, column=False)
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+        if self.users < 1:
+            raise ValueError("users must be >= 1")
+        if self.frames < 1:
+            raise ValueError("frames must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        if not 0.0 < self.smoothing < 1.0:
-            raise ValueError(f"smoothing must lie in (0, 1), got {self.smoothing}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0 <= self.seed < 2**128:  # the Philox key's range
             raise ValueError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
         # building these rejects a negative or non-finite snr_gap_db, mean_snr_db
@@ -99,20 +99,18 @@ class ExperimentConfig:
         # the quantizer tables hold 2**feedback_bits states per user
         if not 0 <= self.feedback_bits <= 16:
             raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
-        if not 0 <= self.n_slots <= MAX_SLOTS:
-            raise ValueError(f"n_slots must lie in 0..{MAX_SLOTS}, got {self.n_slots}")
-        if self.policy == "qtsl" and self.n_users * (self.n_slots or self.n_users) > MAX_SLOT_ENTRIES:
+        if not 0 <= self.slots <= MAX_SLOTS:
+            raise ValueError(f"slots must lie in 0..{MAX_SLOTS}, got {self.slots}")
+        if self.policy == "qtsl" and self.users * (self.slots or self.users) > MAX_SLOT_ENTRIES:
             raise ValueError(
-                f"qtsl needs n_users * n_slots <= {MAX_SLOT_ENTRIES} (0 slots means n_users), "
-                f"got {self.n_users} * {self.n_slots or self.n_users}"
+                f"qtsl needs users * slots <= {MAX_SLOT_ENTRIES} (0 slots means users), "
+                f"got {self.users} * {self.slots or self.users}"
             )
         if self.policy == "jtpc":
-            if not (
-                1 <= self.training_samples and self.training_samples * self.n_users <= MAX_JTPC_ENTRIES
-            ):
+            if not (1 <= self.training_samples and self.training_samples * self.users <= MAX_JTPC_ENTRIES):
                 raise ValueError(
-                    f"jtpc needs 1 <= training_samples and training_samples * n_users <= "
-                    f"{MAX_JTPC_ENTRIES}, got {self.training_samples} * {self.n_users}"
+                    f"jtpc needs 1 <= training_samples and training_samples * users <= "
+                    f"{MAX_JTPC_ENTRIES}, got {self.training_samples} * {self.users}"
                 )
             if self.max_iterations < 1:
                 raise ValueError(f"jtpc needs max_iterations >= 1, got {self.max_iterations}")
@@ -125,9 +123,9 @@ class ExperimentConfig:
     def per_user(self, name: str) -> np.ndarray:
         """Field ``name`` as one float per user; a scalar is shared by all."""
         value = np.asarray(getattr(self, name), dtype=float)
-        if value.ndim > 1 or value.size not in (1, self.n_users):
-            raise ValueError(f"{name} needs 1 or {self.n_users} values, got shape {value.shape}")
-        return np.broadcast_to(value, (self.n_users,))
+        if value.ndim > 1 or value.size not in (1, self.users):
+            raise ValueError(f"{name} needs 1 or {self.users} values, got shape {value.shape}")
+        return np.broadcast_to(value, (self.users,))
 
     def link(self) -> LinkBudget:
         return LinkBudget(noise_power=1.0, snr_gap_db=self.snr_gap_db, transmit_power=1.0)
@@ -164,13 +162,13 @@ def _block_gains(model, seed: int, frames: range) -> np.ndarray:
 
 def _policy_shares(config: ExperimentConfig, model, link, utility):
     """Yield (shares, rates) blocks, one (frames, users) row per frame, in frame order."""
-    n = config.n_users
+    n = config.users
 
     if config.policy == "gs":
         avg = np.zeros(n)
-        for frames in _frame_blocks(config.n_frames):
+        for frames in _frame_blocks(config.frames):
             rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
-            chosen, avg = _schedule_frames(avg, config.smoothing, rates, utility)
+            chosen, avg = _schedule_frames(avg, config.alpha, rates, utility)
             shares = np.zeros_like(rates)
             shares[np.arange(len(rates)), chosen] = 1.0
             yield shares, rates
@@ -185,29 +183,29 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
             training, utility, budgets, link,
             threshold=config.delta, max_iterations=config.max_iterations,
         )
-        for frames in _frame_blocks(config.n_frames, MAX_JTPC_ENTRIES // n):
+        for frames in _frame_blocks(config.frames, MAX_JTPC_ENTRIES // n):
             gains = _block_gains(model, config.seed, frames)
             shares, energies = apply_policy(policy, gains, utility, link)
             yield shares, achievable_rate(gains, per_share(energies, shares), link)
         return
 
     if config.policy == "qtsl":
-        n_slots = config.n_slots or n
+        slots = config.slots or n
         quantizers = [
             Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains
         ]
-        scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, n_slots)
+        scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, slots)
         # the pick holds a few (frames, users, slots) arrays: cap their entries;
         # the config's users x slots bound leaves at least one frame per block
-        block = min(BLOCK_FRAMES, MAX_SLOT_ENTRIES // (n * n_slots))
-        for frames in _frame_blocks(config.n_frames, block):
+        block = min(BLOCK_FRAMES, MAX_SLOT_ENTRIES // (n * slots))
+        for frames in _frame_blocks(config.frames, block):
             gains = _block_gains(model, config.seed, frames)
             states = np.stack([quantize(gains[:, j], q) for j, q in enumerate(quantizers)], axis=1)
             shares = scheduler.shares(scheduler.greedy_allocate(states))
             yield shares, achievable_rate(gains, link.transmit_power, link)
         return
 
-    for frames in _frame_blocks(config.n_frames):
+    for frames in _frame_blocks(config.frames):
         rates = achievable_rate(_block_gains(model, config.seed, frames), link.transmit_power, link)
         shares, _ = allocate_ts(rates, utility)
         yield shares, rates
@@ -226,7 +224,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     link = config.link()
     model = config.channel()
     utility = config.utilities()
-    n = config.n_users
+    n = config.users
 
     # running sums of rate, squared rate, share and utility, one row each
     totals = np.zeros((1, 4, n))
@@ -248,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
         start += len(shares)
 
     rate_sum, rate_sq_sum, share_sum, util_sum = totals[0]
-    frames = config.n_frames
+    frames = config.frames
     mean_rate = rate_sum / frames
     variance = np.maximum(rate_sq_sum / frames - mean_rate**2, 0.0)
     mean_utility = util_sum / frames

@@ -150,7 +150,7 @@ def test_criterion_05_rate_tradeoff_trend():
     spread grows with the concavity knob and the gradient scheduler tops the
     least concave time-sharing run in mean rate; < 30 s."""
     start = time.perf_counter()
-    base = dict(n_users=8, mean_snr_db=10.0, snr_gap_db=8.2, n_frames=10_000, seed=55)
+    base = dict(users=8, mean_snr_db=10.0, snr_gap_db=8.2, frames=10_000, seed=55)
     stds = []
     means = []
     for concavity in (0.1, 1.0, 10.0):
@@ -176,8 +176,8 @@ def test_criterion_06_power_control_gain_fades_at_high_snr():
     plain time sharing is smaller at 25-30 dB than at 0-5 dB."""
     def relative_gain(snr_db):
         base = dict(
-            n_users=2, mean_snr_db=snr_db, snr_gap_db=8.2, concavity=0.1,
-            n_frames=2000, seed=66,
+            users=2, mean_snr_db=snr_db, snr_gap_db=8.2, concavity=0.1,
+            frames=2000, seed=66,
         )
         ts = run_experiment(ExperimentConfig(policy="ts", **base))
         jtpc = run_experiment(
@@ -199,19 +199,19 @@ def test_criterion_07_quantized_sharing_trends():
     """Quantized sharing with 3 feedback bits and one slot per user reaches
     95% of unquantized TAUR; TAUR is nondecreasing in the feedback bits; and
     8 users on 4 slots beat 4 fully shared users."""
-    base = dict(mean_snr_db=10.0, snr_gap_db=8.2, concavity=0.1, n_frames=10_000, seed=77)
-    ts8 = run_experiment(ExperimentConfig(n_users=8, policy="ts", **base))
+    base = dict(mean_snr_db=10.0, snr_gap_db=8.2, concavity=0.1, frames=10_000, seed=77)
+    ts8 = run_experiment(ExperimentConfig(users=8, policy="ts", **base))
     by_bits = [
         run_experiment(
-            ExperimentConfig(n_users=8, policy="qtsl", n_slots=8, feedback_bits=m, **base)
+            ExperimentConfig(users=8, policy="qtsl", slots=8, feedback_bits=m, **base)
         ).taur
         for m in (1, 2, 3)
     ]
     ratio = by_bits[-1] / ts8.taur
     qtsl_half = run_experiment(
-        ExperimentConfig(n_users=8, policy="qtsl", n_slots=4, feedback_bits=3, **base)
+        ExperimentConfig(users=8, policy="qtsl", slots=4, feedback_bits=3, **base)
     )
-    ts4 = run_experiment(ExperimentConfig(n_users=4, policy="ts", **base))
+    ts4 = run_experiment(ExperimentConfig(users=4, policy="ts", **base))
     ok = (
         ratio >= 0.95
         and by_bits[0] <= by_bits[1] <= by_bits[2]
@@ -235,7 +235,7 @@ def test_criterion_08_fairness_equalization():
     u = LogUtility(0.1)
     model = ChannelModel.from_snr_db(snr, link)
     weights, rep = adapt_weights(
-        model, u, link, tolerance=1e-3, n_samples=n_samples, seed=seed, max_iterations=50
+        model, u, link, tolerance=1e-3, frames=n_samples, seed=seed, max_iterations=50
     )
 
     gains = np.stack([sample_gains(model, seed, t) for t in range(n_samples)])

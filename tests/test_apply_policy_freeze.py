@@ -46,7 +46,7 @@ def _digest(value: np.ndarray) -> str:
 @functools.cache
 def _setup(n_users, utility_of=LogUtility):
     n_samples, frames = SETUPS[n_users]
-    config = ExperimentConfig(n_users=n_users, mean_snr_db=0.0, policy="jtpc")
+    config = ExperimentConfig(users=n_users, mean_snr_db=0.0, policy="jtpc")
     link, model = config.link(), config.channel()
     utility = utility_of(config.per_user("concavity"))
 

@@ -94,14 +94,14 @@ def reference_allocate(c, utilities, weights=None):
 def reference_frames(config):
     """(shares, rates) of each frame, one policy decision per frame."""
     link, model, utility = config.link(), config.channel(), config.utilities()
-    n = config.n_users
-    state = GradientSchedulerState(np.zeros(n), config.smoothing)
+    n = config.users
+    state = GradientSchedulerState(np.zeros(n), config.alpha)
     if config.policy == "qtsl":
         quantizers = [Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains]
         scheduler = QuantizedScheduler(
-            utility, quantizers, model.mean_gains, link, config.n_slots or n
+            utility, quantizers, model.mean_gains, link, config.slots or n
         )
-    for t in range(config.n_frames):
+    for t in range(config.frames):
         gains = sample_gains(model, config.seed, t)
         rates = achievable_rate(gains, link.transmit_power, link)
         if config.policy == "gs":
@@ -120,7 +120,7 @@ def reference_frames(config):
 def reference_run(config):
     """The per-frame statistics loop."""
     utility = config.utilities()
-    n = config.n_users
+    n = config.users
     rate_sum, rate_sq_sum, share_sum, util_sum = (np.zeros(n) for _ in range(4))
     degenerate = 0
     for shares, rates in reference_frames(config):
@@ -131,7 +131,7 @@ def reference_run(config):
         rate_sq_sum += r * r
         share_sum += shares
         util_sum += utility.value(r)
-    frames = config.n_frames
+    frames = config.frames
     mean_rate = rate_sum / frames
     mean_utility = util_sum / frames
     return {
@@ -232,23 +232,23 @@ class TestBlockFrameLoop:
     @pytest.mark.parametrize("frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1])
     def test_ts_equal_per_frame_loop(self, n, frames):
         snr = np.linspace(0.0, 15.0, n)
-        config = ExperimentConfig(n_users=n, mean_snr_db=snr, n_frames=frames, seed=n)
+        config = ExperimentConfig(users=n, mean_snr_db=snr, frames=frames, seed=n)
         assert_stats_equal(run_experiment(config), reference_run(config))
 
     @pytest.mark.parametrize("extra", [
-        {"policy": "gs", "n_users": 4},
-        {"policy": "gs", "n_users": 1},
-        {"policy": "qtsl", "n_users": 3, "n_slots": 5, "feedback_bits": 2},
+        {"policy": "gs", "users": 4},
+        {"policy": "gs", "users": 1},
+        {"policy": "qtsl", "users": 3, "slots": 5, "feedback_bits": 2},
         # 4 x 1024 increments per frame: the qtsl blocks shrink to 16 frames
-        {"policy": "qtsl", "n_users": 4, "n_slots": 1024, "feedback_bits": 1},
+        {"policy": "qtsl", "users": 4, "slots": 1024, "feedback_bits": 1},
     ])
     def test_gs_and_qtsl_equal_per_frame_loop(self, extra):
-        config = ExperimentConfig(n_frames=BLOCK_FRAMES + 30, seed=4, **extra)
+        config = ExperimentConfig(frames=BLOCK_FRAMES + 30, seed=4, **extra)
         assert_stats_equal(run_experiment(config), reference_run(config))
 
     def test_heterogeneous_concavity(self):
-        config = ExperimentConfig(n_users=3, concavity=[0.1, 1.0, 10.0], mean_snr_db=[0.0, 20.0, 10.0],
-                                  n_frames=BLOCK_FRAMES + 5, seed=11)
+        config = ExperimentConfig(users=3, concavity=[0.1, 1.0, 10.0], mean_snr_db=[0.0, 20.0, 10.0],
+                                  frames=BLOCK_FRAMES + 5, seed=11)
         assert_stats_equal(run_experiment(config), reference_run(config))
 
 
@@ -303,7 +303,7 @@ class TestSharesInvariant:
             return shares, solve
 
         monkeypatch.setattr(simulate_module, "allocate_ts", short_by_a_tenth)
-        config = ExperimentConfig(n_users=1, policy="ts", n_frames=20)
+        config = ExperimentConfig(users=1, policy="ts", frames=20)
         with pytest.raises(InvariantError, match=r"frame 7: shares sum to 0\.9"):
             run_experiment(config)
         # not a numeric failure: it escapes the sweep instead of filling a row

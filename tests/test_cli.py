@@ -160,7 +160,7 @@ class TestSweepCommands:
         run = simulate.run_experiment
 
         def failing(config):
-            if config.n_users == 3:
+            if config.users == 3:
                 raise DegenerateBudgetError(message)
             return run(config)
 
@@ -394,6 +394,21 @@ class TestInvalidConfigRejectedUpFront:
         assert not out.exists() or not list(out.glob("*.csv"))
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, key", [
+        ("ts-sweep --users 0", "users"),
+        ("gs-sweep --alpha 2", "alpha"),
+        ("qtsl --slots 5000", "slots"),
+        ("fairness --frames 0", "frames"),
+        ("fairness --users 1000 --frames 10000", "frames * users"),
+        ("qtsl --users 300 --slots 300", "users * slots"),
+        ("jtpc --users 200 --training-samples 10000", "training_samples * users"),
+    ])
+    def test_error_names_the_key_typed(self, tmp_path, args, key, capsys):
+        assert main(args.split() + ["--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert not [name for name in ("n_users", "n_frames", "n_slots", "smoothing", "n_samples") if name in err]
+
 
 class TestMemoryKnobsRejectedUpFront:
     @pytest.mark.parametrize("argv", [
@@ -423,18 +438,18 @@ class TestMemoryKnobsRejectedUpFront:
     def test_bounds_themselves_accepted(self):
         from utilsched.simulate import MAX_JTPC_ENTRIES, MAX_SLOTS, ExperimentConfig
 
-        ExperimentConfig(n_users=2, policy="qtsl", n_slots=MAX_SLOTS)
-        ExperimentConfig(n_users=2, policy="jtpc", training_samples=MAX_JTPC_ENTRIES // 2)
+        ExperimentConfig(users=2, policy="qtsl", slots=MAX_SLOTS)
+        ExperimentConfig(users=2, policy="jtpc", training_samples=MAX_JTPC_ENTRIES // 2)
         # the training set is sized only for jtpc
-        ExperimentConfig(n_users=1000, policy="ts", training_samples=10_000)
+        ExperimentConfig(users=1000, policy="ts", training_samples=10_000)
 
     def test_qtsl_entry_bound_itself_accepted(self):
         from utilsched.simulate import MAX_SLOT_ENTRIES, ExperimentConfig
 
-        ExperimentConfig(n_users=MAX_SLOT_ENTRIES // 1024, policy="qtsl", n_slots=1024)
-        ExperimentConfig(n_users=256, policy="qtsl")  # 0 slots: one per user
+        ExperimentConfig(users=MAX_SLOT_ENTRIES // 1024, policy="qtsl", slots=1024)
+        ExperimentConfig(users=256, policy="qtsl")  # 0 slots: one per user
         # the users x slots bound is for qtsl only
-        ExperimentConfig(n_users=257, policy="ts")
+        ExperimentConfig(users=257, policy="ts")
 
 
 class TestParentManifestsReplay:

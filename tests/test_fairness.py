@@ -64,7 +64,7 @@ class TestWeightedAllocate:
 class TestAdaptWeights:
     def test_single_user(self):
         model = ChannelModel.from_snr_db(np.array([10.0]), LINK)
-        weights, report = adapt_weights(model, LogUtility(0.1), LINK, n_samples=200)
+        weights, report = adapt_weights(model, LogUtility(0.1), LINK, frames=200)
         assert_allclose(weights, [1.0])
         assert report.spread == 0.0
         assert report.iterations == 0
@@ -74,7 +74,7 @@ class TestAdaptWeights:
         # pure sampling noise, so a noise-sized tolerance stops at once
         model = ChannelModel.from_snr_db(np.full(2, 10.0), LINK)
         weights, report = adapt_weights(
-            model, LogUtility(0.1), LINK, tolerance=0.2, n_samples=800, seed=3
+            model, LogUtility(0.1), LINK, tolerance=0.2, frames=800, seed=3
         )
         assert report.iterations <= 1
         assert_allclose(weights, [0.5, 0.5], atol=0.05)
@@ -87,7 +87,7 @@ class TestAdaptWeights:
         u = LogUtility(0.1)
         model = ChannelModel.from_snr_db(np.array(snr), LINK)
         weights, report = adapt_weights(
-            model, u, LINK, tolerance=1e-3, n_samples=n_samples, seed=seed
+            model, u, LINK, tolerance=1e-3, frames=n_samples, seed=seed
         )
         assert weights[0] > weights[1]
         assert report.spread <= 1e-3
@@ -119,7 +119,7 @@ class TestAdaptWeights:
         n_samples, seed = 300, 7
         u = LogUtility(0.1)
         model = ChannelModel.from_snr_db(np.array(snr), LINK)
-        weights, _ = adapt_weights(model, u, LINK, tolerance=1e-3, n_samples=n_samples, seed=seed)
+        weights, _ = adapt_weights(model, u, LINK, tolerance=1e-3, frames=n_samples, seed=seed)
         rates = rate_samples(snr, n_samples, seed)
 
         shares = np.stack([allocate_ts(r, u, weights=weights)[0] for r in rates])
@@ -147,7 +147,7 @@ class TestAdaptWeights:
         with pytest.raises(ConvergenceError) as excinfo:
             adapt_weights(
                 model, LogUtility(0.1), LINK,
-                tolerance=1e-12, n_samples=100, max_iterations=3,
+                tolerance=1e-12, frames=100, max_iterations=3,
             )
         assert excinfo.value.diagnostics.spread > 0
 
@@ -156,7 +156,7 @@ class TestAdaptWeights:
         # average utility to 0, and the second update's exp overflows
         model = ChannelModel.from_snr_db(np.array([10.0, 10.0]), LINK)
         with pytest.raises(ConvergenceError, match=r"weight update 2 with step 1e\+03") as excinfo:
-            adapt_weights(model, LogUtility(0.1), LINK, n_samples=200, step=1000.0)
+            adapt_weights(model, LogUtility(0.1), LINK, frames=200, step=1000.0)
         assert excinfo.value.diagnostics.iterations == 0
 
     def test_tolerance_validated(self):

@@ -111,8 +111,8 @@ def energy_problems(draw):
 def test_energies_meet_the_energy_condition(family, rtol, problem):
     gains, shares, concavity, lam = problem
     u = family(concavity)
-    energies = _waterfill_energies(u, gains, shares, LINK, lam)
     m_zero = u.marginal_energy(shares, np.zeros_like(gains), gains, LINK)
+    energies = _waterfill_energies(u, gains, shares, LINK, lam, m_zero)
     active = (shares > 0) & (gains > 0) & (m_zero > lam)
     assert np.all(energies[~active] == 0.0) and np.all(energies[active] >= 0.0)
     marginals = u.marginal_energy(shares, energies, gains, LINK)
