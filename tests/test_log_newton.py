@@ -34,7 +34,6 @@ import test_apply_policy_freeze
 import test_powercontrol_bits
 from test_utility import ScaledLog
 
-ARRAY_TOL = {"rtol": 1e-12, "atol": 1e-12}
 VALUE_RTOL = 1e-12
 
 
@@ -68,7 +67,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from utilsched import LinkBudget, LogUtility, update_energies, update_shares  # noqa: E402
 from utilsched.powercontrol import _waterfill_energies, update_energies_pooled  # noqa: E402
 
-from test_share_pair import reference_share_marginal  # noqa: E402
+from test_share_pair import ARRAY_TOL, reference_share_marginal  # noqa: E402
 
 LINK = LinkBudget(snr_gap_db=3.0)
 

@@ -11,7 +11,7 @@ evaluate the marginal at (1/N, 1 and bisection midpoints) lies in (0, 1],
 so none of those guards changes a value: the two-user step and the
 bisections of any other utility give the same bits.  At N >= 3 the log
 family solves each row's KKT system by Newton steps instead, and matches
-the nested solve within ``test_log_newton.ARRAY_TOL``; a row with one
+the nested solve within ``ARRAY_TOL``; a row with one
 transmitter or none takes no solve and keeps its bits.
 """
 
@@ -81,6 +81,8 @@ def reference_pair_shares(gains, energies, utilities, link):
 
 
 EPS = np.finfo(float).eps
+# how closely the log family's Newton share step matches the nested solve
+ARRAY_TOL = {"rtol": 1e-12, "atol": 1e-12}
 
 
 def reference_log_share_inverse(u, energies, gains, link):
@@ -249,9 +251,6 @@ def test_pair_step_matches_the_guarded_bisection_bit_for_bit(grids, utility, gap
 @settings(max_examples=40)
 @given(problem=general_problems(), gap_db=st.sampled_from([0.0, 3.0, 8.2]))
 def test_general_step_matches_the_guarded_step_bit_for_bit(problem, gap_db):
-    # imported here: test_log_newton imports this module
-    from test_log_newton import ARRAY_TOL
-
     energies, gains, utility = problem
     link = LinkBudget(snr_gap_db=gap_db)
     shares = update_shares(gains, energies, utility, link)
