@@ -52,6 +52,8 @@ LEVEL_STEPS = 100
 # apply_policy drops a frame once its round drift is at most this
 APPLY_TOL = 1e-11
 EPS = np.finfo(float).eps
+# the smallest normal float: a Newton share step drops a share below it to 0
+TINY = np.finfo(float).tiny
 # the log of the smallest positive water level, the bottom of every level's bracket
 LOG_FLOOR = np.log(np.finfo(float).smallest_subnormal)
 # a budget water level settles once |ln(spent/budget)| is at most this
@@ -101,7 +103,9 @@ def update_shares(gains, energies, utilities, link: LinkBudget, guess=None) -> n
     bisection, at N >= 3 by Newton steps for the log family and a nested
     bisection for any other utility.  Users with zero energy or zero gain in
     a sample get zero share there, a lone user that can transmit the whole
-    frame, and samples where nobody can transmit uniform shares.  A
+    frame, and samples where nobody can transmit uniform shares.  A share
+    whose optimum lies below the smallest normal float is returned as 0: it
+    has too few significant bits to equalize its marginal.  A
     ``guess``, finite shares shaped like ``gains`` (else ``ValueError``) such
     as the previous ones, lets the two-user step replay its path toward it
     first; without one the step only bisects.  It moves no bit.
@@ -234,8 +238,8 @@ def _newton_shares(concavity, snr, shares, rows):
     sum w_i ln m_i)/sum w_i, w_i = s_i/e_i, scales s_i by exp((L - ln m_i)/e_i)
     and renormalizes.  As in ``_level_step``'s rtsafe, L keeps to a bracket,
     else bisects it: above each m_i(1), and within the marginals of each
-    point on the simplex.  A share too small for snr/share to be a float
-    drops to 0."""
+    point on the simplex.  A share below the smallest normal float, or too
+    small for snr/share to be a float, drops to 0."""
     a = np.broadcast_to(concavity, snr.shape)
     # entries at share 0 give NaN or -inf, which the masks drop
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -256,7 +260,7 @@ def _newton_shares(concavity, snr, shares, rows):
             level = (1.0 - s.sum(axis=1) + np.where(on, w * lm, 0.0).sum(axis=1)) / w.sum(axis=1)
             level = np.where((level > lo) & (level < hi), level, 0.5 * (lo + hi))
             step = np.where(on, s * np.exp((level[:, None] - lm) / el), 0.0)
-            step = np.where(row_snr / step < np.inf, step, 0.0)
+            step = np.where((step >= TINY) & (row_snr / step < np.inf), step, 0.0)
             step /= step.sum(axis=1, keepdims=True)
             settled = met | np.all(np.abs(step - s) <= 4 * EPS * s, axis=1)
             shares[rows[~settled]] = step[~settled]

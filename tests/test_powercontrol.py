@@ -138,6 +138,19 @@ class TestUpdateShares:
         solve_uplink(gains, config.utilities(), config.per_user("power_budget"), config.link(), threshold=config.delta)
         assert set(ndims) == {2}
 
+    @pytest.mark.parametrize("sixth", [0.24131422425269222, 0.2413142242526922])
+    def test_share_below_the_normal_range_is_zero(self, sixth):
+        # user 1's energy is subnormal, so is its optimal share: with the first
+        # sixth energy the Newton step used to run to its cap, with the second
+        # it returned a share of 1.5e-311
+        link = LinkBudget(snr_gap_db=8.2)
+        energies = np.array([[0.0, 6.2407798945e-312, 1.749441337437057e-06, 0.08693482919925681,
+                              0.06728842710336756, sixth, 0.12676017300798192, 0.493495339991624]])
+        shares = update_shares(np.full((1, 8), link.effective_noise), energies, LogUtility(0.1), link)
+        assert shares[0, 0] == 0.0 and shares[0, 1] == 0.0
+        assert np.all(shares[0, 2:] >= np.finfo(float).tiny)
+        assert abs(shares.sum() - 1.0) <= 4 * np.finfo(float).eps
+
     def test_three_user_matches_pairwise_exchange(self):
         # no small transfer between any pair should improve the objective
         rng = np.random.default_rng(2)
