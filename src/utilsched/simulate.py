@@ -219,7 +219,8 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     InvariantError
         If a policy returns a frame whose shares do not sum to 1.
     FloatingPointError
-        If a statistic is not finite (for example when gains overflow).
+        If a statistic is not finite (for example when gains overflow); the
+        message names those statistics only, as the row holds the config.
     """
     link = config.link()
     model = config.channel()
@@ -262,7 +263,7 @@ def run_experiment(config: ExperimentConfig) -> SimStats:
     bad = [name for name in ("taur", "mean_rate", "rate_std", "mean_utility")
            if not np.all(np.isfinite(getattr(stats, name)))]
     if bad:
-        raise FloatingPointError(f"non-finite {' '.join(bad)} from {config!r}")
+        raise FloatingPointError(f"non-finite {' '.join(bad)}")
     return stats
 
 
