@@ -11,7 +11,9 @@ uniform shares and energies at the budgets it alternates two exact block
 updates until the objective rises by less than the threshold: per sample,
 shares given energies (simplex water filling); per user, energies given
 shares, with a water level solved until the sample-average energy meets the
-budget.  The uplink has one level per user, the downlink one pooled level.
+budget.  The uplink has one level per user, the downlink one pooled level;
+from the second iteration on, each level's search starts at the last
+iteration's multiplier.
 The recorded objective sequence is nondecreasing, as the tests assert.
 
 Every inner solve is vectorized across the whole sample grid: each water
@@ -363,7 +365,7 @@ def _waterfill_energies(u, gains, shares, link, multiplier, m_zero):
     return out
 
 
-def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
+def update_energies(gains, shares, utilities, budgets, link: LinkBudget, *, start=None):
     """Optimal per-sample energies given fixed shares, meeting each budget.
 
     For each user a positive multiplier (water level) is solved until the
@@ -376,6 +378,12 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     marginal is the peak, split evenly.  Returns ``(energies, multipliers)``,
     of shapes (n, N) and (N,).
 
+    The search starts one below the log of the peak, or, given ``start``
+    (positive multipliers such as the last update's), at their logs, kept
+    strictly inside the bracket.  Where the levels move little, as between
+    Gauss-Seidel iterations, that takes about half the water-filling
+    passes; the bracket, the steps and the tolerance stay the same.
+
     Raises
     ------
     DegenerateBudgetError
@@ -383,16 +391,17 @@ def update_energies(gains, shares, utilities, budgets, link: LinkBudget):
     ConvergenceError
         If the energies that meet the budgets are not all finite floats.
     """
-    return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False)
+    return _meet_budgets(gains, shares, utilities, budgets, link, pooled=False, start=start)
 
 
-def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBudget):
-    """Downlink variant: one multiplier, sample-average total energy budget;
-    returns ``(energies, multipliers)`` with a length-1 multiplier array."""
-    return _meet_budgets(gains, shares, utilities, total_budget, link, pooled=True)
+def update_energies_pooled(gains, shares, utilities, total_budget, link: LinkBudget, *, start=None):
+    """Downlink variant: one multiplier, sample-average total energy budget,
+    the same ``start``; returns ``(energies, multipliers)`` with a length-1
+    multiplier array."""
+    return _meet_budgets(gains, shares, utilities, total_budget, link, pooled=True, start=start)
 
 
-def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
+def _meet_budgets(gains, shares, utilities, budgets, link, pooled, start):
     """Solve one water level per budget as ``update_energies`` describes: the
     uplink's N levels each govern one user's sample-average energy, the pooled
     level the sample-average total over all users."""
@@ -425,7 +434,14 @@ def _meet_budgets(gains, shares, utilities, budgets, link, pooled):
         raise DegenerateBudgetError(f"{who} spend any energy (zero gains or shares)")
 
     top = np.log(peak)  # nothing is spent at the top
-    y, lo, hi = top - 1.0, np.full(top.shape, LOG_FLOOR), top
+    if start is None:
+        y = top - 1.0
+    else:
+        start = np.broadcast_to(np.asarray(start, dtype=float), top.shape)
+        if not np.all(start > 0):
+            raise ValueError(f"start must be positive multipliers, got {start.tolist()}")
+        y = np.clip(np.log(start), LOG_FLOOR + 1.0, top - 1e-12)
+    lo, hi = np.full(top.shape, LOG_FLOOR), top
     for _ in range(LEVEL_STEPS):
         lam = np.exp(y)
         try:
@@ -540,7 +556,7 @@ def _solve(gains, utilities, budgets, link, threshold, max_iterations, pooled):
         trace.objectives.append(sample_objective(gains, shares, energies, u, link))
         if len(trace.objectives) >= 2 and trace.objectives[-1] - trace.objectives[-2] < threshold:
             break
-        energies, multipliers = update(gains, shares, u, budgets, link)
+        energies, multipliers = update(gains, shares, u, budgets, link, start=multipliers)
     else:
         raise ConvergenceError(
             f"objective still improving after {max_iterations} iterations", diagnostics=trace

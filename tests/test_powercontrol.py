@@ -33,12 +33,22 @@ def random_instance(rng, n_users=2, n_samples=60, mean=2.0):
     return gains, budgets, utility
 
 
-def benchmark_jtpc(seed):
-    """The benchmark's 0 dB jtpc config and its 300 training samples."""
-    config = ExperimentConfig(policy="jtpc", mean_snr_db=0.0, training_samples=300, frames=1000, seed=seed)
+def jtpc_training(config):
+    """A jtpc config and its training gains, drawn as ``simulate`` draws them."""
     model = config.channel()
     training = range(TRAINING_FRAME_OFFSET, TRAINING_FRAME_OFFSET + config.training_samples)
-    return config, np.stack([sample_gains(model, seed, t) for t in training])
+    return config, np.stack([sample_gains(model, config.seed, t) for t in training])
+
+
+def benchmark_jtpc(seed):
+    """The benchmark's 0 dB jtpc config and its 300 training samples."""
+    return jtpc_training(ExperimentConfig(policy="jtpc", mean_snr_db=0.0, training_samples=300, frames=1000, seed=seed))
+
+
+def benchmark_downlink(seed):
+    """The benchmark's N=3 downlink training gains at 0 dB, and its link."""
+    link = LinkBudget(snr_gap_db=8.2)
+    return np.random.default_rng(seed).exponential(link.noise_power / link.transmit_power, size=(100, 3)), link
 
 
 def record_marginal_ndims(monkeypatch):
@@ -356,6 +366,65 @@ class TestDownlink:
         monkeypatch.setattr(powercontrol, "_log_share_marginal", lambda *args: calls.append(1) or marginal(*args))
         solve_downlink(gains, LogUtility(0.1), 3.0, link)
         assert len(calls) <= 200
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", ["benchmark uplink", "benchmark downlink", "default uplink"])
+    def test_warm_start_halves_the_waterfilling_calls(self, case, monkeypatch):
+        # the benchmark's two training solves at seed 0, and the default 10^4 samples
+        if case == "benchmark downlink":
+            gains, link = benchmark_downlink(0)
+            solve, args = solve_downlink, (gains, LogUtility(0.1), 3.0, link)
+        else:
+            default = ExperimentConfig(policy="jtpc")
+            config, gains = benchmark_jtpc(0) if case == "benchmark uplink" else jtpc_training(default)
+            solve, args = solve_uplink, (gains, config.utilities(), config.per_user("power_budget"), config.link())
+        calls = []
+        waterfill = powercontrol._waterfill_energies
+        monkeypatch.setattr(powercontrol, "_waterfill_energies", lambda *a: calls.append(1) or waterfill(*a))
+        runs = {}
+        for start in ("warm", "cold"):
+            with monkeypatch.context() as patch:
+                if start == "cold":  # every energy update searches from one below the peak
+                    for name in ("update_energies", "update_energies_pooled"):
+                        update = getattr(powercontrol, name)
+                        patch.setattr(powercontrol, name, lambda *a, start=None, update=update: update(*a))
+                calls.clear()
+                _, trace = solve(*args)
+                runs[start] = len(calls), trace
+        (warm_calls, warm), (cold_calls, cold) = runs["warm"], runs["cold"]
+        assert warm_calls <= 0.6 * cold_calls
+        assert warm.iterations == cold.iterations
+        assert_allclose(warm.objectives[-1], cold.objectives[-1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["uplink", "pooled"])
+    @pytest.mark.parametrize("start", ["cold", "last", "above the peak", "least float"])
+    def test_any_start_meets_the_budgets_to_the_level_tolerance(self, pooled, start):
+        config, gains = benchmark_jtpc(0)
+        u, link = config.utilities(), config.link()
+        update = update_energies_pooled if pooled else update_energies
+        budgets = 2.0 if pooled else config.per_user("power_budget")
+        # the shares of the second Gauss-Seidel step, and the levels of the first
+        energies, last = update(gains, update_shares(gains, np.ones_like(gains), u, link), u, budgets, link)
+        shares = update_shares(gains, energies, u, link)
+        m_zero = u.marginal_energy(shares, np.zeros_like(gains), gains, link)
+        peak = np.array([m_zero.max()]) if pooled else m_zero.max(axis=0)
+        start = {"cold": None, "last": last, "above the peak": 2.0 * peak,
+                 "least float": np.full(last.shape, 5e-324)}[start]
+        _, cold = update(gains, shares, u, budgets, link)
+        energies, levels = update(gains, shares, u, budgets, link, start=start)
+        # the levels meet the budgets before the final rescale
+        spent = powercontrol._waterfill_energies(u, gains, shares, link, levels[None, :], m_zero)
+        spent = spent.sum(axis=1).mean(keepdims=True) if pooled else spent.mean(axis=0)
+        assert np.all(np.abs(np.log(spent / budgets)) <= powercontrol.LEVEL_TOL)
+        assert_allclose(levels, cold, rtol=1e-12)
+        assert_allclose(energies.sum(axis=1).mean() if pooled else energies.mean(axis=0), budgets, rtol=1e-12)
+
+    @pytest.mark.parametrize("start", [0.0, -1.0, np.nan])
+    def test_start_must_be_positive(self, start):
+        gains = np.array([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="start must be positive"):
+            update_energies(gains, np.full((1, 2), 0.5), LogUtility(0.5), 1.0, LINK, start=[1.0, start])
 
 
 class TestApplyPolicy:
