@@ -239,31 +239,6 @@ class TestFairnessCommand:
         assert not list(tmp_path.glob("*.csv"))
 
 
-class TestSelfcheck:
-    def test_all_suites_pass(self, capsys):
-        assert main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3
-
-    def test_suite_filter(self, capsys):
-        assert main(["selfcheck", "--suite", "derivatives"]) == 0
-        out = capsys.readouterr().out
-        assert "derivatives" in out and out.count("PASS") == 1
-
-    def test_unknown_suite_config_error(self):
-        assert main(["selfcheck", "--suite", "nope"]) == 2
-
-    def test_negative_seed_config_error(self, capsys):
-        assert main(["selfcheck", "--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
-
-    def test_seed_replays(self, capsys):
-        assert main(["selfcheck", "--suite", "ts-grid", "--seed", "7"]) == 0
-        first = capsys.readouterr().out
-        assert main(["selfcheck", "--suite", "ts-grid", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == first
-
-
 class TestReplayValidation:
     def test_missing_manifest(self, capsys):
         assert main(["replay", "/nonexistent/m.json"]) == 2
