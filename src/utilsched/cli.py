@@ -1,4 +1,4 @@
-"""Command-line front end: seeded sweeps to CSV plus self-check suites.
+"""Command-line front end: seeded sweeps to CSV, verified by replay.
 
 Subcommands
 -----------
@@ -9,8 +9,6 @@ fairness
     Adapt per-user weights until average utilities equalize; write the
     final weights and report as a single-row CSV (list-valued keys here are
     per-user values, not sweep axes).
-selfcheck
-    Run the oracle-equivalence suites and report pass/fail per suite.
 replay
     Re-run a recorded manifest and verify the CSV reproduces byte for byte.
 
@@ -20,7 +18,7 @@ key, ignoring those it does not read.  The sweep keys, by name, type, default
 and sweep axis, are the fields of ``ExperimentConfig``; fairness reads six of
 them plus the ``tolerance``, ``step`` and ``max_iterations`` parameters of
 ``adapt_weights``, with that signature's defaults.  Exit codes: 0 success,
-1 failed self-check or replay mismatch, 2 invalid config, 3 numeric failure.
+1 replay mismatch, 2 invalid config, 3 numeric failure.
 """
 
 import argparse
@@ -38,14 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import LinkBudget, Quantizer
 from .errors import NUMERIC_ERRORS, ConfigError
 from .fairness import adapt_weights
-from .oracles import central_difference, grid_search_shares
-from .quantized import QuantizedScheduler
 from .simulate import ExperimentConfig, sweep
-from .timeshare import aggregate_utility, allocate_ts
-from .utility import LogUtility
 
 OUTPUT_DIR_ENV = "UTILSCHED_OUTDIR"
 
@@ -284,96 +277,6 @@ def cmd_replay(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# self-check suites
-
-
-def _suite_ts_grid(seed: int):
-    rng = np.random.default_rng(seed)
-    for case in range(30):
-        n = int(rng.integers(2, 4))
-        rates = rng.uniform(0.0, 6.0, size=n)
-        rates[int(rng.integers(n))] += 0.5  # keep at least one user live
-        concavity = float(rng.uniform(0.05, 5.0))
-        utility = LogUtility(concavity)
-        shares, _ = allocate_ts(rates, utility)
-        value = aggregate_utility(shares, rates, utility)
-        _, grid_value = grid_search_shares(rates, utility, step=1e-3)
-        if value < grid_value - 1e-6:
-            return False, (f"case {case}: rates={rates.tolist()} concavity={concavity} "
-                           f"solver={value!r} grid={grid_value!r}")
-    return True, "30 instances within 1e-6 of the simplex grid search"
-
-
-def _suite_greedy_exhaustive(seed: int):
-    rng = np.random.default_rng(seed)
-    link = LinkBudget(snr_gap_db=8.2)
-    for case in range(30):
-        n = int(rng.integers(1, 5))
-        slots = int(rng.integers(1, 7))
-        bits = int(rng.integers(1, 4))
-        means = rng.uniform(0.5, 20.0, size=n)
-        concavities = rng.uniform(0.05, 5.0, size=n)
-        utilities = [LogUtility(float(a)) for a in concavities]
-        quantizers = [Quantizer.equal_probability(m, bits) for m in means]
-        scheduler = QuantizedScheduler(utilities, quantizers, means, link, slots)
-        states = rng.integers(1, 2**bits + 1, size=n)
-        greedy = scheduler.greedy_allocate(states)
-        best = scheduler.exhaustive_allocate(states)
-        if scheduler.objective(states, greedy) != scheduler.objective(states, best):
-            return False, (f"case {case}: means={means.tolist()} bits={bits} slots={slots} "
-                           f"states={states.tolist()} greedy={greedy.tolist()} "
-                           f"exhaustive={best.tolist()}")
-    return True, "greedy matches exhaustive enumeration on 30 instances"
-
-
-def _suite_derivatives(seed: int):
-    rng = np.random.default_rng(seed)
-    link = LinkBudget(snr_gap_db=3.0)
-    for case in range(100):
-        u = LogUtility(float(rng.uniform(0.05, 5.0)))
-        rate = float(rng.uniform(0.1, 8.0))
-        share = float(rng.uniform(0.05, 0.95))
-        energy = float(rng.uniform(0.1, 4.0))
-        gain = float(rng.uniform(0.1, 10.0))
-
-        analytic = u.marginal_share(rate, share)
-        numeric = central_difference(lambda s: float(u.value(s * rate)), share)
-        if abs(analytic - numeric) > 1e-6 * max(1.0, abs(analytic)):
-            return False, f"case {case}: share marginal {analytic!r} vs fd {numeric!r}"
-
-        analytic = u.marginal_energy(share, energy, gain, link)
-        numeric = central_difference(
-            lambda s: float(u.value_with_energy(share, s, gain, link)), energy
-        )
-        if abs(analytic - numeric) > 1e-6 * max(1.0, abs(analytic)):
-            return False, f"case {case}: energy marginal {analytic!r} vs fd {numeric!r}"
-    return True, "analytic marginals match centered differences at 100 points"
-
-
-SUITES = {
-    "ts-grid": _suite_ts_grid,
-    "greedy-exhaustive": _suite_greedy_exhaustive,
-    "derivatives": _suite_derivatives,
-}
-
-
-def cmd_selfcheck(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    names = [args.suite] if args.suite else list(SUITES)
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    status = 0
-    for name in names:
-        ok, detail = SUITES[name](args.seed)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            status = 1
-    return status
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 
 
@@ -409,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fairness", help="adapt weights until average utilities equalize")
     _add_common(p)
     p.set_defaults(handler=cmd_fairness)
-
-    p = sub.add_parser("selfcheck", help="run oracle-equivalence suites")
-    p.add_argument("--suite", help=f"run one suite: {', '.join(SUITES)}")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random instances")
-    p.set_defaults(handler=cmd_selfcheck)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify the CSV bytes")
     p.add_argument("manifest", help="path to a .manifest.json file")

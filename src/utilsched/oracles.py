@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used by self-checks and tests.
+"""Brute-force references that the tests and acceptance criteria compare against.
 
 These deliberately avoid the solvers' machinery: the grid search evaluates
 the raw objective on a dense simplex grid, and the derivative checks use

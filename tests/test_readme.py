@@ -1,9 +1,9 @@
-"""The README's library quick start and CLI key table match the current code."""
+"""The README's library quick start, CLI subcommands and key table match the current code."""
 
 import re
 from pathlib import Path
 
-from utilsched.cli import FAIRNESS_KEYS, KEY_TYPES, SWEEP_KEYS
+from utilsched.cli import FAIRNESS_KEYS, KEY_TYPES, SWEEP_KEYS, build_parser
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -35,3 +35,11 @@ def test_key_table_lists_exactly_the_cli_keys_and_defaults():
     # the subcommand sets policy; it has no flag
     assert sweep == {k: v for k, v in SWEEP_KEYS.items() if k != "policy"}
     assert fairness == FAIRNESS_KEYS
+
+
+def test_command_line_block_lists_exactly_the_subcommands():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```\n(.*?)^```", section, flags=re.S | re.M).group(1)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("utilsched ")]
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(listed) == sorted(subparsers.choices)
