@@ -27,7 +27,7 @@ class GradientSchedulerState:
         )
         if not 0.0 < self.smoothing < 1.0:
             raise ValueError(f"smoothing must lie in (0, 1), got {self.smoothing}")
-        if np.any(self.avg_rates < 0):
+        if not np.all(self.avg_rates >= 0):  # NaN fails too
             raise ValueError("average rates must be >= 0")
 
 

@@ -27,6 +27,13 @@ class TestState:
         with pytest.raises(ValueError):
             GradientSchedulerState(np.array([-1.0]))
 
+    def test_nan_average_raises(self):
+        with pytest.raises(ValueError):
+            GradientSchedulerState(np.array([np.nan, 1.0]))
+        state = GradientSchedulerState(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            update_state(state, 0, float("nan"))
+
 
 class TestSelect:
     def test_single_user(self):
