@@ -8,10 +8,12 @@ from utilsched.cli import FAIRNESS_KEYS, KEY_TYPES, SWEEP_KEYS, build_parser
 README = Path(__file__).parent.parent / "README.md"
 
 
+def section(title):
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start_code():
-    text = README.read_text()
-    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"^```python\n(.*?)^```", section, flags=re.S | re.M)
+    blocks = re.findall(r"^```python\n(.*?)^```", section("Library quick start"), flags=re.S | re.M)
     assert len(blocks) == 1, "expected one python block under 'Library quick start'"
     return blocks[0]
 
@@ -38,8 +40,7 @@ def test_key_table_lists_exactly_the_cli_keys_and_defaults():
 
 
 def test_command_line_block_lists_exactly_the_subcommands():
-    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"^```\n(.*?)^```", section, flags=re.S | re.M).group(1)
+    block = re.search(r"^```\n(.*?)^```", section("Command line"), flags=re.S | re.M).group(1)
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("utilsched ")]
     (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
     assert sorted(listed) == sorted(subparsers.choices)
