@@ -14,7 +14,6 @@ from .channel import (
     LinkBudget,
     Quantizer,
     achievable_rate,
-    equal_prob_thresholds,
     quantize,
     sample_gains,
 )

@@ -12,7 +12,7 @@ only when the seed changes.
 
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,58 +144,57 @@ def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray
     return _streams.at_frame(seed, t).standard_exponential(model.n_users) * model.mean_gains
 
 
-def equal_prob_thresholds(mean_gain: float, n_states: int) -> np.ndarray:
-    """Thresholds splitting an exponential(mean_gain) into equiprobable bins.
+# the largest feedback_bits: a quantizer holds 2**bits + 1 thresholds per user
+MAX_FEEDBACK_BITS = 16
 
-    Returns ``n_states + 1`` increasing values starting at 0 and ending at
-    +inf; an exponential draw lands in each bin with probability exactly
+
+@dataclass(frozen=True)
+class Quantizer:
+    """Equal-probability quantizer of exponential gains: 2**feedback_bits bins.
+
+    ``mean_gains`` is one mean shared by every user, or one mean per user.
+    ``thresholds`` is ``(n_states + 1,)``, or ``(N, n_states + 1)`` with
+    row j user j's: from 0 to +inf, each bin holding probability exactly
     1/n_states (inverse CDF: G_k = -mean * ln(1 - (k-1)/K)).
     """
-    if mean_gain <= 0:
-        raise ValueError(f"mean_gain must be > 0, got {mean_gain}")
-    if n_states < 1 or (n_states & (n_states - 1)) != 0:
-        raise ValueError(f"n_states must be a power of two >= 1, got {n_states}")
-    k = np.arange(n_states)
-    thresholds = -mean_gain * np.log1p(-k / n_states)
-    return np.append(thresholds, np.inf)
 
-
-@dataclass
-class Quantizer:
-    """Gain quantizer: 2**feedback_bits states with fixed thresholds."""
-
+    mean_gains: object
     feedback_bits: int
-    thresholds: np.ndarray
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.thresholds = np.asarray(self.thresholds, dtype=float)
-        if self.feedback_bits < 0:
-            raise ValueError("feedback_bits must be >= 0")
-        expected = 2**self.feedback_bits + 1
-        if self.thresholds.size != expected:
-            raise ValueError(
-                f"need {expected} thresholds for {self.feedback_bits} bits, "
-                f"got {self.thresholds.size}"
-            )
-        if self.thresholds[0] != 0.0 or not np.isinf(self.thresholds[-1]):
-            raise ValueError("thresholds must start at 0 and end at +inf")
-        if np.any(np.diff(self.thresholds) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
+        if self.feedback_bits not in range(MAX_FEEDBACK_BITS + 1):  # a fraction fails too
+            raise ValueError(f"feedback_bits must lie in 0..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
+        m = np.array(self.mean_gains, dtype=float)
+        if m.ndim > 1 or not np.all((0 < m) & (m < np.inf)):
+            raise ValueError(f"mean_gains must be finite and > 0 (scalar or 1-D), got {self.mean_gains}")
+        m.flags.writeable = False
+        object.__setattr__(self, "mean_gains", float(m) if m.ndim == 0 else m)
+        k = np.arange(self.n_states)
+        thresholds = m[..., None] * np.append(-np.log1p(-k / self.n_states), np.inf)
+        thresholds.flags.writeable = False
+        object.__setattr__(self, "thresholds", thresholds)
 
     @property
     def n_states(self) -> int:
         return 2**self.feedback_bits
 
-    @classmethod
-    def equal_probability(cls, mean_gain: float, feedback_bits: int) -> "Quantizer":
-        """Equal-probability quantizer for an exponential(mean_gain) gain."""
-        return cls(feedback_bits, equal_prob_thresholds(mean_gain, 2**feedback_bits))
+    def for_user(self, j: int) -> "Quantizer":
+        """User j's own quantizer; a quantizer shared by all users returns itself."""
+        return self if np.ndim(self.mean_gains) == 0 else Quantizer(self.mean_gains[j], self.feedback_bits)
 
 
 def quantize(gain, quantizer: Quantizer):
     """Map gain(s) to 1-based state indices: state k covers [G_k, G_{k+1}).
 
-    Bins are closed on the left, so quantize(G_k) == k.
+    Bins are closed on the left, so quantize(G_k) == k.  A per-user
+    quantizer maps a block whose last axis holds its N users, such as
+    ``(T, N)`` frames, user j's column by row j of the thresholds.
     """
-    state = np.searchsorted(quantizer.thresholds, gain, side="right")
-    return state if np.ndim(gain) else int(state)
+    thresholds = quantizer.thresholds
+    if thresholds.ndim == 1:
+        state = np.searchsorted(thresholds, gain, side="right")
+        return state if np.ndim(gain) else int(state)
+    # ValueError unless the last axis holds one gain per user
+    columns = zip(thresholds, np.moveaxis(gain, -1, 0), strict=True)
+    return np.stack([np.searchsorted(row, g, side="right") for row, g in columns], axis=-1)

@@ -91,8 +91,8 @@ def adapt_weights(
         avg = average_utilities(rates, u, weights)
         spread = float(avg.max() - avg.min())
         report = FairnessReport(avg, float(avg.mean()), spread, it)
-        if best is None or spread < best[1].spread:
-            best = (weights.copy(), report)
+        if best is None or spread < best.spread:
+            best = report
         if spread <= tolerance:
             return weights, report
         with np.errstate(over="ignore", invalid="ignore"):
@@ -100,10 +100,10 @@ def adapt_weights(
             weights /= weights.sum()
         if not np.all(np.isfinite(weights)):
             raise ConvergenceError(
-                f"weight update {it + 1} with step {step:.3g} overflowed", diagnostics=best[1]
+                f"weight update {it + 1} with step {step:.3g} overflowed", diagnostics=best
             )
     raise ConvergenceError(
-        f"utility spread {best[1].spread:.3g} > tolerance {tolerance:.3g} "
+        f"utility spread {best.spread:.3g} > tolerance {tolerance:.3g} "
         f"after {max_iterations} weight updates",
-        diagnostics=best[1],
+        diagnostics=best,
     )

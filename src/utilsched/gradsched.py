@@ -27,8 +27,8 @@ class GradientSchedulerState:
         )
         if not 0.0 < self.smoothing < 1.0:
             raise ValueError(f"smoothing must lie in (0, 1), got {self.smoothing}")
-        if not np.all(self.avg_rates >= 0):  # NaN fails too
-            raise ValueError("average rates must be >= 0")
+        if not np.all((0 <= self.avg_rates) & (self.avg_rates < np.inf)):  # NaN fails too
+            raise ValueError(f"average rates must be finite and >= 0, got {self.avg_rates}")
 
 
 def select_user(state: GradientSchedulerState, peak_rates, utilities) -> int:
@@ -43,6 +43,10 @@ def update_state(
 ) -> GradientSchedulerState:
     """Fold one frame into the averages: the selected user moves toward its
     realized full-frame rate, everyone else decays by (1 - smoothing)."""
+    if not 0 <= selected < state.avg_rates.size:
+        raise ValueError(f"selected must lie in 0..{state.avg_rates.size - 1}, got {selected}")
+    if not 0 <= peak_rate < np.inf:
+        raise ValueError(f"peak_rate must be finite and >= 0, got {peak_rate}")
     alpha = state.smoothing
     avg = (1.0 - alpha) * state.avg_rates
     avg[selected] += alpha * peak_rate

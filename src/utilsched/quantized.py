@@ -25,6 +25,8 @@ QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
 EXHAUSTIVE_MAX_USERS = 4
 EXHAUSTIVE_MAX_SLOTS = 6
+# slots per frame: a table row holds n_slots + 1 values
+MAX_SLOTS = 1024
 
 
 @lru_cache(maxsize=1)
@@ -35,12 +37,13 @@ def _gl_rule():
     return leggauss(QUAD_NODES)
 
 
-def bin_expected_utility(utility, share, state, quantizer: Quantizer, mean_gain: float, link: LinkBudget):
+def bin_expected_utility(utility, share, state, quantizer: Quantizer, link: LinkBudget):
     """E[U(share * rate(g)) | g in bin ``state``] for exponential gains.
 
-    ``state`` is the 1-based quantizer state.  The expectation is taken
-    against the exponential density restricted to [G_k, G_{k+1}) and
-    normalized by the bin mass; the unbounded last bin is truncated at the
+    ``state`` is the 1-based state of ``quantizer``, which has one mean
+    gain (``for_user`` gives one user's).  The expectation is taken against
+    the exponential density restricted to [G_k, G_{k+1}) and normalized by
+    the bin mass; the unbounded last bin is truncated at the
     1 - TAIL_QUANTILE quantile.  Gauss-Legendre quadrature with QUAD_NODES
     nodes is exact to near machine precision on these smooth integrands.
     ``share`` and ``state`` may be arrays: one quadrature pass gives values
@@ -49,6 +52,9 @@ def bin_expected_utility(utility, share, state, quantizer: Quantizer, mean_gain:
     """
     share = np.asarray(share, dtype=float)
     state = np.asarray(state)
+    mean_gain = quantizer.mean_gains
+    if np.ndim(mean_gain):
+        raise ValueError(f"need one user's quantizer (for_user), got {np.size(mean_gain)} mean gains")
     if not np.all((share >= 0.0) & (share <= 1.0)):  # NaN fails too
         raise ValueError(f"share must lie in [0, 1], got {share}")
     if not np.all((1 <= state) & (state <= quantizer.n_states)):
@@ -87,29 +93,23 @@ class QuantizedScheduler:
     Expected utilities depend only on (user, reported state, slot count), so
     one row of values and increments is computed per (user, state) pair on
     first use and reused across frames; an eager table would hold 2^16 rows
-    per user at 16 bits.
+    per user at 16 bits.  The users are the quantizer's, one per mean gain.
     """
 
     utilities: object
-    quantizers: object
-    mean_gains: np.ndarray
+    quantizer: Quantizer
     link: LinkBudget
     n_slots: int
 
     def __post_init__(self):
-        self.mean_gains = np.atleast_1d(np.asarray(self.mean_gains, dtype=float))
-        n = self.mean_gains.size
-        self.utilities = as_utility(self.utilities, n)
-        self.quantizers = list(self.quantizers)
-        if len(self.quantizers) != n:
-            raise ValueError(f"expected {n} quantizers, got {len(self.quantizers)}")
-        if self.n_slots < 1:
-            raise ValueError("need at least one slot")
+        self.utilities = as_utility(self.utilities, self.n_users)
+        if self.n_slots not in range(1, MAX_SLOTS + 1):  # a fraction fails too
+            raise ValueError(f"n_slots must lie in 1..{MAX_SLOTS}, got {self.n_slots}")
         self._table = {}
 
     @property
     def n_users(self) -> int:
-        return self.mean_gains.size
+        return np.size(self.quantizer.mean_gains)
 
     def share_utilities(self, user: int, state: int) -> np.ndarray:
         """Expected utilities of user at shares 0, 1/L, ..., 1 given its state."""
@@ -127,7 +127,7 @@ class QuantizedScheduler:
         """Cache ``user``'s rows at ``states`` from one quadrature pass."""
         values = bin_expected_utility(
             self.utilities.for_user(user), np.arange(self.n_slots + 1) / self.n_slots, states,
-            self.quantizers[user], self.mean_gains[user], self.link,
+            self.quantizer.for_user(user), self.link,
         )
         for state, row, steps in zip(states, values, np.diff(values)):
             self._table[state * self.n_users + user] = row, steps
@@ -193,7 +193,7 @@ class QuantizedScheduler:
         states = np.atleast_1d(np.asarray(states, dtype=int))
         if states.ndim > max_ndim or states.shape[-1] != self.n_users:
             raise ValueError(f"expected {self.n_users} states per frame, got shape {states.shape}")
-        bad = np.argwhere((states < 1) | (states > [q.n_states for q in self.quantizers]))
+        bad = np.argwhere((states < 1) | (states > self.quantizer.n_states))
         if bad.size:
             *frame, user = bad[0]
             where = f"frame {frame[0]}, user {user}" if frame else f"user {user}"

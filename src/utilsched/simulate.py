@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
+from .channel import MAX_FEEDBACK_BITS, ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
 from .errors import NUMERIC_ERRORS, InvariantError
 from .gradsched import _schedule_frames
 from .powercontrol import apply_policy, solve_uplink
-from .quantized import QuantizedScheduler
+from .quantized import MAX_SLOTS, QuantizedScheduler
 from .timeshare import allocate_ts
 from .utility import LogUtility, per_share
 
@@ -37,9 +37,7 @@ TRAINING_FRAME_OFFSET = 2**32
 # frames allocated and reduced per array pass: enough that the per-block
 # overhead is negligible, few enough that a block's temporaries stay small
 BLOCK_FRAMES = 256
-# memory-sizing knobs: slots per frame, and gains held at once (jtpc training or one
-# jtpc block; the fairness sample set)
-MAX_SLOTS = 1024
+# gains held at once (jtpc training or one jtpc block; the fairness sample set)
 MAX_JTPC_ENTRIES = 10**6
 # qtsl slot increments (users x slots) per frame, and the most a block holds
 MAX_SLOT_ENTRIES = 2**16
@@ -96,9 +94,8 @@ class ExperimentConfig:
         # or concavity, and a per-user list of the wrong length
         self.channel()
         self.utilities()
-        # the quantizer tables hold 2**feedback_bits states per user
-        if not 0 <= self.feedback_bits <= 16:
-            raise ValueError(f"feedback_bits must lie in 0..16, got {self.feedback_bits}")
+        if not 0 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
+            raise ValueError(f"feedback_bits must lie in 0..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
         if not 0 <= self.slots <= MAX_SLOTS:
             raise ValueError(f"slots must lie in 0..{MAX_SLOTS}, got {self.slots}")
         if self.policy == "qtsl" and self.users * (self.slots or self.users) > MAX_SLOT_ENTRIES:
@@ -191,17 +188,14 @@ def _policy_shares(config: ExperimentConfig, model, link, utility):
 
     if config.policy == "qtsl":
         slots = config.slots or n
-        quantizers = [
-            Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains
-        ]
-        scheduler = QuantizedScheduler(utility, quantizers, model.mean_gains, link, slots)
+        quantizer = Quantizer(model.mean_gains, config.feedback_bits)
+        scheduler = QuantizedScheduler(utility, quantizer, link, slots)
         # the pick holds a few (frames, users, slots) arrays: cap their entries;
         # the config's users x slots bound leaves at least one frame per block
         block = min(BLOCK_FRAMES, MAX_SLOT_ENTRIES // (n * slots))
         for frames in _frame_blocks(config.frames, block):
             gains = _block_gains(model, config.seed, frames)
-            states = np.stack([quantize(gains[:, j], q) for j, q in enumerate(quantizers)], axis=1)
-            shares = scheduler.shares(scheduler.greedy_allocate(states))
+            shares = scheduler.shares(scheduler.greedy_allocate(quantize(gains, quantizer)))
             yield shares, achievable_rate(gains, link.transmit_power, link)
         return
 

@@ -100,8 +100,8 @@ def test_criterion_03_greedy_optimality():
         bits = int(rng.integers(1, 4))
         utilities = [LogUtility(float(a)) for a in rng.uniform(0.05, 5.0, size=n)]
         means = rng.uniform(0.3, 20.0, size=n)
-        quantizers = [Quantizer.equal_probability(m, bits) for m in means]
-        sched = QuantizedScheduler(utilities, quantizers, means, link, slots)
+        quantizer = Quantizer(means, bits)
+        sched = QuantizedScheduler(utilities, quantizer, link, slots)
         states = rng.integers(1, 2**bits + 1, size=n)
         greedy = sched.objective(states, sched.greedy_allocate(states))
         best = sched.objective(states, sched.exhaustive_allocate(states))

@@ -97,10 +97,8 @@ def reference_frames(config):
     n = config.users
     state = GradientSchedulerState(np.zeros(n), config.alpha)
     if config.policy == "qtsl":
-        quantizers = [Quantizer.equal_probability(m, config.feedback_bits) for m in model.mean_gains]
-        scheduler = QuantizedScheduler(
-            utility, quantizers, model.mean_gains, link, config.slots or n
-        )
+        quantizer = Quantizer(model.mean_gains, config.feedback_bits)
+        scheduler = QuantizedScheduler(utility, quantizer, link, config.slots or n)
     for t in range(config.frames):
         gains = sample_gains(model, config.seed, t)
         rates = achievable_rate(gains, link.transmit_power, link)
@@ -110,7 +108,8 @@ def reference_frames(config):
             shares[chosen] = 1.0
             state = update_state(state, chosen, rates[chosen])
         elif config.policy == "qtsl":
-            states = np.array([quantize(g, q) for g, q in zip(gains, quantizers)])
+            # one user's quantizer and gain at a time
+            states = np.array([quantize(g, quantizer.for_user(j)) for j, g in enumerate(gains)])
             shares = scheduler.shares(scheduler.greedy_allocate(states))
         else:
             shares, _ = reference_allocate(rates, utility)

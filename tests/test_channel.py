@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,10 +9,10 @@ from utilsched import (
     LinkBudget,
     Quantizer,
     achievable_rate,
-    equal_prob_thresholds,
     quantize,
     sample_gains,
 )
+from utilsched.channel import MAX_FEEDBACK_BITS
 
 
 class TestLinkBudget:
@@ -95,39 +97,77 @@ class TestAchievableRate:
 
 class TestQuantizer:
     def test_single_bin(self):
-        th = equal_prob_thresholds(1.0, 1)
+        th = Quantizer(1.0, 0).thresholds
         assert th[0] == 0.0 and np.isinf(th[1]) and th.size == 2
 
     def test_unit_mean_four_bins(self):
         # inverse CDF of the unit exponential at 1/4, 1/2, 3/4
-        th = equal_prob_thresholds(1.0, 4)
+        th = Quantizer(1.0, 2).thresholds
         expect = [0.0, -np.log(0.75), -np.log(0.5), -np.log(0.25)]
         assert_allclose(th[:4], expect, rtol=1e-12)
         assert_allclose(th[1:4], [0.287682, 0.693147, 1.386294], atol=1e-6)
 
     def test_mean_two_two_bins(self):
-        th = equal_prob_thresholds(2.0, 2)
+        th = Quantizer(2.0, 1).thresholds
         assert_allclose(th[1], 2 * np.log(2.0), rtol=1e-12)
 
     def test_rejects_non_power_of_two(self):
-        for bad in (0, 3, 6, -2):
-            with pytest.raises(ValueError):
-                equal_prob_thresholds(1.0, bad)
+        # the state count is 2**feedback_bits by construction; a mean <= 0 is still rejected
         with pytest.raises(ValueError):
-            equal_prob_thresholds(0.0, 2)
+            Quantizer(0.0, 1)
 
-    def test_quantizer_validation(self):
+    def test_per_user_rows_are_the_scalar_quantizers(self):
+        means = np.array([1.0, 2.0, 0.37, 1e3])
+        for bits in (0, 1, 2, 5):
+            q = Quantizer(means, bits)
+            assert q.thresholds.shape == (4, 2**bits + 1)
+            k = np.arange(2**bits)
+            for j, mean in enumerate(means):
+                row = q.for_user(j).thresholds
+                assert row.tobytes() == Quantizer(mean, bits).thresholds.tobytes()
+                assert row.tobytes() == q.thresholds[j].tobytes()
+                assert_allclose(row[:-1], -mean * np.log(1 - k / 2**bits), rtol=1e-12)
+                assert np.isinf(row[-1])
+        assert Quantizer(2.0, 3).for_user(5).thresholds.tobytes() == Quantizer(2.0, 3).thresholds.tobytes()
+
+    @pytest.mark.parametrize("bits", [-1, 2.5, 17, 30])
+    def test_bits_bounded_before_any_allocation(self, bits):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"feedback_bits must lie in 0\.\.{MAX_FEEDBACK_BITS}"):
+                Quantizer([1.0, 2.0], bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # 17 bits would take 1 MiB of thresholds per user
+
+    @pytest.mark.parametrize(
+        "means", [np.nan, np.inf, 0.0, -1.0, [1.0, np.nan], [1.0, -np.inf], [1.0, 0.0], [[1.0, 2.0]]]
+    )
+    def test_rejects_bad_means(self, means):
+        with pytest.raises(ValueError, match="mean_gains must be finite and > 0"):
+            Quantizer(means, 2)
+
+    def test_block_equals_per_user_columns(self):
+        means = np.array([0.5, 2.0, 7.0])
+        rng = np.random.default_rng(11)
+        for bits in (0, 3, 10):
+            q = Quantizer(means, bits)
+            gains = rng.exponential(means, size=(200, 3))
+            gains[:3] = q.thresholds[:, [0, 1, -2]].T  # bin edges are closed on the left
+            states = quantize(gains, q)
+            assert states.shape == gains.shape
+            for j in range(3):
+                column = np.searchsorted(q.thresholds[j], gains[:, j], side="right")
+                assert states[:, j].tobytes() == column.tobytes()
+        assert np.array_equal(quantize(gains[7], q), states[7])
         with pytest.raises(ValueError):
-            Quantizer(2, np.array([0.0, 1.0, np.inf]))  # wrong count
-        with pytest.raises(ValueError):
-            Quantizer(1, np.array([0.0, 1.0, 2.0]))  # last not inf
-        with pytest.raises(ValueError):
-            Quantizer(1, np.array([0.1, 1.0, np.inf]))  # first not 0
+            quantize(gains[:, :2], q)
 
 
 class TestQuantize:
     def setup_method(self):
-        self.q = Quantizer.equal_probability(1.0, 2)  # thresholds 0, .2877, .6931, 1.3863, inf
+        self.q = Quantizer(1.0, 2)  # thresholds 0, .2877, .6931, 1.3863, inf
 
     def test_zero_gain_first_state(self):
         assert quantize(0.0, self.q) == 1
@@ -151,7 +191,7 @@ class TestQuantize:
         mean = 1.7
         bits = 3
         k = 2**bits
-        q = Quantizer.equal_probability(mean, bits)
+        q = Quantizer(mean, bits)
         model = ChannelModel(np.full(100, mean))
         gains = np.concatenate(
             [sample_gains(model, seed=9, frame_index=t) for t in range(1200)]

@@ -34,6 +34,23 @@ class TestState:
         with pytest.raises(ValueError):
             update_state(state, 0, float("nan"))
 
+    def test_infinite_average_raises(self):
+        for avg in ([np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError):
+                GradientSchedulerState(np.array(avg))
+
+    @pytest.mark.parametrize("peak_rate", [-0.5, -1e-300, np.inf, -np.inf])
+    def test_bad_peak_rate_raises(self, peak_rate):
+        # -0.5 used to return [0.985, 0.99]; inf returned [inf, 0.99]
+        with pytest.raises(ValueError, match="peak_rate"):
+            update_state(GradientSchedulerState(np.array([1.0, 1.0])), 0, peak_rate)
+
+    @pytest.mark.parametrize("selected", [-1, -3, 2, 5])
+    def test_selected_outside_the_users_raises(self, selected):
+        # -1 used to update the last user; 5 raised IndexError
+        with pytest.raises(ValueError, match=r"selected must lie in 0\.\.1"):
+            update_state(GradientSchedulerState(np.array([1.0, 1.0])), selected, 2.0)
+
 
 class TestSelect:
     def test_single_user(self):

@@ -19,20 +19,19 @@ LINK = LinkBudget(snr_gap_db=8.2)
 def make_scheduler(means, concavities, bits, slots, link=LINK):
     means = np.asarray(means, dtype=float)
     utilities = [LogUtility(a) for a in np.broadcast_to(concavities, means.shape)]
-    quantizers = [Quantizer.equal_probability(m, bits) for m in means]
-    return QuantizedScheduler(utilities, quantizers, means, link, slots)
+    return QuantizedScheduler(utilities, Quantizer(means, bits), link, slots)
 
 
 class TestBinExpectedUtility:
     def test_zero_share_zero_utility(self):
-        q = Quantizer.equal_probability(1.0, 2)
-        assert bin_expected_utility(LogUtility(0.1), 0.0, 3, q, 1.0, LINK) == 0.0
+        q = Quantizer(1.0, 2)
+        assert bin_expected_utility(LogUtility(0.1), 0.0, 3, q, LINK) == 0.0
 
     def test_single_bin_matches_monte_carlo(self):
         # K = 1 reduces to the unconditional expectation
         u = LogUtility(0.1)
-        q = Quantizer.equal_probability(1.5, 0)
-        value = bin_expected_utility(u, 0.6, 1, q, 1.5, LINK)
+        q = Quantizer(1.5, 0)
+        value = bin_expected_utility(u, 0.6, 1, q, LINK)
         rng = np.random.default_rng(0)
         draws = u.value(0.6 * achievable_rate(rng.exponential(1.5, size=10**6), 1.0, LINK))
         assert abs(value - draws.mean()) <= 3 * draws.std() / 1000
@@ -40,27 +39,36 @@ class TestBinExpectedUtility:
     def test_per_bin_values_match_monte_carlo(self):
         u = LogUtility(0.5)
         mean, bits = 2.0, 2
-        q = Quantizer.equal_probability(mean, bits)
+        q = Quantizer(mean, bits)
         rng = np.random.default_rng(1)
         gains = rng.exponential(mean, size=400_000)
         states = np.searchsorted(q.thresholds, gains, side="right")
         for k in range(1, 5):
             sample = u.value(0.5 * achievable_rate(gains[states == k], 1.0, LINK))
-            value = bin_expected_utility(u, 0.5, k, q, mean, LINK)
+            value = bin_expected_utility(u, 0.5, k, q, LINK)
             assert abs(value - sample.mean()) <= 4 * sample.std() / np.sqrt(sample.size)
 
     def test_increasing_in_state(self):
         u = LogUtility(0.1)
-        q = Quantizer.equal_probability(1.0, 3)
-        values = [bin_expected_utility(u, 0.4, k, q, 1.0, LINK) for k in range(1, 9)]
+        q = Quantizer(1.0, 3)
+        values = [bin_expected_utility(u, 0.4, k, q, LINK) for k in range(1, 9)]
         assert np.all(np.diff(values) > 0)
 
     def test_input_validation(self):
-        q = Quantizer.equal_probability(1.0, 1)
+        q = Quantizer(1.0, 1)
         with pytest.raises(ValueError):
-            bin_expected_utility(LogUtility(0.1), 1.2, 1, q, 1.0, LINK)
+            bin_expected_utility(LogUtility(0.1), 1.2, 1, q, LINK)
         with pytest.raises(ValueError):
-            bin_expected_utility(LogUtility(0.1), 0.5, 3, q, 1.0, LINK)
+            bin_expected_utility(LogUtility(0.1), 0.5, 3, q, LINK)
+
+    def test_per_user_quantizer_raises(self):
+        # one call has one mean gain: a per-user quantizer must go through for_user
+        q = Quantizer([1.0, 5.0], 2)
+        with pytest.raises(ValueError, match="for_user"):
+            bin_expected_utility(LogUtility(0.1), 0.5, 3, q, LINK)
+        assert bin_expected_utility(LogUtility(0.1), 0.5, 3, q.for_user(1), LINK) == (
+            bin_expected_utility(LogUtility(0.1), 0.5, 3, Quantizer(5.0, 2), LINK)
+        )
 
 
 class TestIncrements:
@@ -168,14 +176,21 @@ class TestValidation:
             sched.greedy_allocate([1])
 
     def test_quantizer_count_checked(self):
-        with pytest.raises(ValueError):
-            QuantizedScheduler(
-                LogUtility(0.1),
-                [Quantizer.equal_probability(1.0, 1)],
-                np.array([1.0, 2.0]),
-                LINK,
-                2,
-            )
+        # the users are the quantizer's: two means against three utilities
+        with pytest.raises(ValueError, match="expected 2"):
+            QuantizedScheduler(LogUtility([0.1, 0.2, 0.3]), Quantizer([1.0, 2.0], 1), LINK, 2)
+        with pytest.raises(ValueError, match="expected 2"):
+            QuantizedScheduler([LogUtility(0.1)] * 3, Quantizer([1.0, 2.0], 1), LINK, 2)
+
+    @pytest.mark.parametrize("excess", [1, 2**62])
+    def test_slot_count_bounded_at_construction(self, excess):
+        # raised by the constructor, before a table row of n_slots + 1 values exists
+        limit = quantized_module.MAX_SLOTS
+        for slots in (0, 1.5, limit + excess):
+            with pytest.raises(ValueError, match=f"1..{limit}"):
+                QuantizedScheduler(LogUtility(0.1), Quantizer([1.0, 2.0], 1), LINK, slots)
+        sched = make_scheduler([1.0, 2.0], 0.1, bits=0, slots=limit)
+        assert sched.greedy_allocate([1, 1]).sum() == limit
 
 
 def reference_greedy(sched, states):
@@ -189,7 +204,7 @@ def reference_greedy(sched, states):
         np.diff([
             bin_expected_utility(
                 sched.utilities.for_user(i), v / slots, states[i],
-                sched.quantizers[i], sched.mean_gains[i], sched.link,
+                sched.quantizer.for_user(i), sched.link,
             )
             for v in range(slots + 1)
         ])
@@ -249,29 +264,29 @@ class TestArrayShares:
         for _ in range(30):
             bits = int(rng.integers(0, 4))
             mean = float(rng.uniform(0.3, 20.0))
-            q = Quantizer.equal_probability(mean, bits)
+            q = Quantizer(mean, bits)
             u = LogUtility(float(rng.uniform(0.05, 5.0)))
             state = int(rng.integers(1, 2**bits + 1))
             shares = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=6)]).reshape(2, 4)
-            values = bin_expected_utility(u, shares, state, q, mean, LINK)
+            values = bin_expected_utility(u, shares, state, q, LINK)
             assert values.shape == (2, 4)
             for index, share in np.ndenumerate(shares):
-                scalar = bin_expected_utility(u, float(share), state, q, mean, LINK)
+                scalar = bin_expected_utility(u, float(share), state, q, LINK)
                 assert isinstance(scalar, float)
                 assert values[index] == scalar
             assert values[0, 0] == 0.0
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
     def test_one_bad_entry_raises(self, bad):
-        q = Quantizer.equal_probability(1.0, 1)
+        q = Quantizer(1.0, 1)
         with pytest.raises(ValueError):
-            bin_expected_utility(LogUtility(0.1), np.array([0.0, 0.5, bad]), 1, q, 1.0, LINK)
+            bin_expected_utility(LogUtility(0.1), np.array([0.0, 0.5, bad]), 1, q, LINK)
 
     def test_one_bad_state_raises(self):
-        q = Quantizer.equal_probability(1.0, 1)
+        q = Quantizer(1.0, 1)
         for bad in [0, 3]:
             with pytest.raises(ValueError, match=r"state must lie in 1\.\.2"):
-                bin_expected_utility(LogUtility(0.1), 0.5, np.array([1, bad, 2]), q, 1.0, LINK)
+                bin_expected_utility(LogUtility(0.1), 0.5, np.array([1, bad, 2]), q, LINK)
 
 
 class TestBatchStates:

@@ -29,7 +29,7 @@ GAP_DB = st.floats(0.0, 10.0)
 
 @given(MEAN_GAIN, st.integers(0, 8))
 def test_quantize_closed_on_the_left_at_every_threshold(mean_gain, bits):
-    q = Quantizer.equal_probability(mean_gain, bits)
+    q = Quantizer(mean_gain, bits)
     edges = q.thresholds[:-1]
     k = np.arange(1, edges.size + 1)
     assert [quantize(float(g), q) for g in edges] == k.tolist()
@@ -47,8 +47,7 @@ def instances(draw):
     concavity = draw(st.lists(CONCAVITY, min_size=n, max_size=n))
     states = draw(st.lists(st.integers(1, 2**bits), min_size=n, max_size=n))
     link = LinkBudget(snr_gap_db=draw(GAP_DB))
-    quantizers = [Quantizer.equal_probability(m, bits) for m in means]
-    scheduler = QuantizedScheduler(LogUtility(np.array(concavity)), quantizers, means, link, slots)
+    scheduler = QuantizedScheduler(LogUtility(np.array(concavity)), Quantizer(means, bits), link, slots)
     return scheduler, np.array(states)
 
 
@@ -67,11 +66,11 @@ def test_greedy_matches_exhaustive_objective(instance):
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
 def test_bin_expected_utility_nondecreasing_in_share(concavity, mean_gain, gap_db, bits, data, shares):
-    q = Quantizer.equal_probability(mean_gain, bits)
+    q = Quantizer(mean_gain, bits)
     state = data.draw(st.integers(1, q.n_states))
     shares = np.sort(np.array(shares + [0.0, 1.0]))
     values = bin_expected_utility(
-        LogUtility(concavity), shares, state, q, mean_gain, LinkBudget(snr_gap_db=gap_db)
+        LogUtility(concavity), shares, state, q, LinkBudget(snr_gap_db=gap_db)
     )
     assert values[0] == 0.0
     assert np.all(np.diff(values) >= 0.0)
@@ -86,8 +85,8 @@ def reference_block_allocate(scheduler, block):
     increments = np.array([
         [
             np.diff(bin_expected_utility(
-                scheduler.utilities.for_user(i), shares, int(state), scheduler.quantizers[i],
-                scheduler.mean_gains[i], scheduler.link,
+                scheduler.utilities.for_user(i), shares, int(state),
+                scheduler.quantizer.for_user(i), scheduler.link,
             ))
             for i, state in enumerate(frame)
         ]
@@ -122,9 +121,8 @@ def tied_blocks(draw, shape):
         states = np.array(draw(st.lists(
             st.lists(st.integers(1, 2**bits), min_size=n, max_size=n), min_size=frames, max_size=frames,
         )))
-    quantizers = [Quantizer.equal_probability(m, bits) for m in means]
     scheduler = QuantizedScheduler(
-        LogUtility(np.array(concavity)), quantizers, means, LinkBudget(snr_gap_db=8.2), slots
+        LogUtility(np.array(concavity)), Quantizer(means, bits), LinkBudget(snr_gap_db=8.2), slots
     )
     return scheduler, states
 
@@ -146,13 +144,13 @@ def test_partition_pick_equals_stable_sort_pick(shape, data):
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
 )
 def test_bin_expected_utility_over_states_equals_per_state_calls(concavity, mean_gain, gap_db, bits, data, shares):
-    q = Quantizer.equal_probability(mean_gain, bits)
+    q = Quantizer(mean_gain, bits)
     # the last state's bin is the tail-truncated one
     states = sorted(set(data.draw(st.lists(st.integers(1, q.n_states), max_size=8)) + [q.n_states]))
     utility, link, shares = LogUtility(concavity), LinkBudget(snr_gap_db=gap_db), np.array(shares)
-    values = bin_expected_utility(utility, shares, np.array(states), q, mean_gain, link)
+    values = bin_expected_utility(utility, shares, np.array(states), q, link)
     assert values.shape == (len(states), len(shares))
     for state, row in zip(states, values):
-        assert row.tobytes() == bin_expected_utility(utility, shares, state, q, mean_gain, link).tobytes()
+        assert row.tobytes() == bin_expected_utility(utility, shares, state, q, link).tobytes()
         for share, value in zip(shares, row):
-            assert value == bin_expected_utility(utility, float(share), state, q, mean_gain, link)
+            assert value == bin_expected_utility(utility, float(share), state, q, link)

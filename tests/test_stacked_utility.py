@@ -85,10 +85,10 @@ class TestSchedulers:
     def test_greedy_allocate_equal(self):
         rng = np.random.default_rng(5)
         means = np.array([0.5, 2.0, 8.0])
-        quantizers = [Quantizer.equal_probability(m, 2) for m in means]
+        quantizer = Quantizer(means, 2)
         stacked, listed = stacked_and_list()
-        a = QuantizedScheduler(stacked, quantizers, means, LINK, 5)
-        b = QuantizedScheduler(listed, quantizers, means, LINK, 5)
+        a = QuantizedScheduler(stacked, quantizer, LINK, 5)
+        b = QuantizedScheduler(listed, quantizer, LINK, 5)
         for _ in range(30):
             states = rng.integers(1, 5, size=3)
             assert np.array_equal(a.greedy_allocate(states), b.greedy_allocate(states))
