@@ -10,6 +10,7 @@ and resets it to the frame's counter before each draw; it builds a new one
 only when the seed changes.
 """
 
+import copy
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -170,8 +171,7 @@ class Quantizer:
             raise ValueError(f"mean_gains must be finite and > 0 (scalar or 1-D), got {self.mean_gains}")
         m.flags.writeable = False
         object.__setattr__(self, "mean_gains", float(m) if m.ndim == 0 else m)
-        k = np.arange(self.n_states)
-        thresholds = m[..., None] * np.append(-np.log1p(-k / self.n_states), np.inf)
+        thresholds = m[..., None] * np.append(-np.log1p(-np.arange(self.n_states) / self.n_states), np.inf)
         thresholds.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
 
@@ -181,7 +181,12 @@ class Quantizer:
 
     def for_user(self, j: int) -> "Quantizer":
         """User j's own quantizer; a quantizer shared by all users returns itself."""
-        return self if np.ndim(self.mean_gains) == 0 else Quantizer(self.mean_gains[j], self.feedback_bits)
+        if np.ndim(self.mean_gains) == 0:
+            return self
+        user = copy.copy(self)  # row j as it is: deriving it again takes a log per state
+        object.__setattr__(user, "mean_gains", float(self.mean_gains[j]))
+        object.__setattr__(user, "thresholds", self.thresholds[j])
+        return user
 
 
 def quantize(gain, quantizer: Quantizer):

@@ -43,10 +43,9 @@ def update_state(
 ) -> GradientSchedulerState:
     """Fold one frame into the averages: the selected user moves toward its
     realized full-frame rate, everyone else decays by (1 - smoothing)."""
-    if not 0 <= selected < state.avg_rates.size:
-        raise ValueError(f"selected must lie in 0..{state.avg_rates.size - 1}, got {selected}")
-    if not 0 <= peak_rate < np.inf:
-        raise ValueError(f"peak_rate must be finite and >= 0, got {peak_rate}")
+    n = state.avg_rates.size
+    if not (0 <= selected < n and 0 <= peak_rate < np.inf):
+        raise ValueError(f"selected must lie in 0..{n - 1}, peak_rate in [0, inf); got {selected}, {peak_rate}")
     alpha = state.smoothing
     avg = (1.0 - alpha) * state.avg_rates
     avg[selected] += alpha * peak_rate

@@ -25,8 +25,7 @@ QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
 EXHAUSTIVE_MAX_USERS = 4
 EXHAUSTIVE_MAX_SLOTS = 6
-# slots per frame: a table row holds n_slots + 1 values
-MAX_SLOTS = 1024
+MAX_SLOTS = 1024  # slots per frame: a table row holds n_slots + 1 values
 
 
 @lru_cache(maxsize=1)
@@ -129,8 +128,8 @@ class QuantizedScheduler:
             self.utilities.for_user(user), np.arange(self.n_slots + 1) / self.n_slots, states,
             self.quantizer.for_user(user), self.link,
         )
-        for state, row, steps in zip(states, values, np.diff(values)):
-            self._table[state * self.n_users + user] = row, steps
+        keys = (np.asarray(states) * self.n_users + user).tolist()
+        self._table.update(zip(keys, zip(values, np.diff(values))))
 
     def greedy_allocate(self, states) -> np.ndarray:
         """Slot counts of each frame's L largest increments, shape of ``states``.

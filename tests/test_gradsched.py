@@ -42,13 +42,13 @@ class TestState:
     @pytest.mark.parametrize("peak_rate", [-0.5, -1e-300, np.inf, -np.inf])
     def test_bad_peak_rate_raises(self, peak_rate):
         # -0.5 used to return [0.985, 0.99]; inf returned [inf, 0.99]
-        with pytest.raises(ValueError, match="peak_rate"):
+        with pytest.raises(ValueError, match=r"peak_rate in \[0, inf\); got 0, "):
             update_state(GradientSchedulerState(np.array([1.0, 1.0])), 0, peak_rate)
 
     @pytest.mark.parametrize("selected", [-1, -3, 2, 5])
     def test_selected_outside_the_users_raises(self, selected):
         # -1 used to update the last user; 5 raised IndexError
-        with pytest.raises(ValueError, match=r"selected must lie in 0\.\.1"):
+        with pytest.raises(ValueError, match=r"selected must lie in 0\.\.1, "):
             update_state(GradientSchedulerState(np.array([1.0, 1.0])), selected, 2.0)
 
 
