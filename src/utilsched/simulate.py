@@ -94,9 +94,9 @@ class ExperimentConfig:
         # or concavity, and a per-user list of the wrong length
         self.channel()
         self.utilities()
-        if not 0 <= self.feedback_bits <= MAX_FEEDBACK_BITS:
+        if self.feedback_bits not in range(MAX_FEEDBACK_BITS + 1):  # as Quantizer: a fraction fails too
             raise ValueError(f"feedback_bits must lie in 0..{MAX_FEEDBACK_BITS}, got {self.feedback_bits}")
-        if not 0 <= self.slots <= MAX_SLOTS:
+        if self.slots not in range(MAX_SLOTS + 1):  # 0 slots means one per user
             raise ValueError(f"slots must lie in 0..{MAX_SLOTS}, got {self.slots}")
         if self.policy == "qtsl" and self.users * (self.slots or self.users) > MAX_SLOT_ENTRIES:
             raise ValueError(

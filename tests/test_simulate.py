@@ -22,6 +22,10 @@ class TestConfig:
             ExperimentConfig(users=2, frames=0)
         with pytest.raises(ValueError):
             ExperimentConfig(users=2, policy="nope")
+        # a fractional knob fails before any work, not in the run's quantizer
+        for key, value in (("feedback_bits", 2.5), ("slots", 1.5)):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(policy="qtsl", **{key: value})
 
     def test_channel_matches_snr(self):
         config = ExperimentConfig(users=3, mean_snr_db=10.0, snr_gap_db=8.2)
