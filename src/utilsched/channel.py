@@ -95,29 +95,41 @@ class ChannelModel:
 
 
 class _FrameStream(threading.local):
-    """This thread's Philox generator and the state it is reset to per frame."""
+    """What one thread keeps between draws, as one tuple read in one lookup.
 
-    def __init__(self):
-        self.seed = self.bit_gen = self.state = self.counter = self.rng = None
+    ``held`` is ``(seed, bit_gen, state, counter, draw)``: the seed the
+    thread last drew from, its Philox generator, the state that generator
+    is reset to before each draw (a fresh generator's: counter 0, empty
+    buffer), the list inside that state holding the counter, and the
+    generator's bound ``standard_exponential``.  Writing the frame index
+    into ``counter[2]`` and setting ``state`` places the generator at the
+    frame's stream.  ``bind`` builds a new tuple, only when the seed
+    differs from the held one; a seed it rejects leaves the old one held.
+    """
 
-    def at_frame(self, seed, frame_index: int):
-        if self.rng is None or seed != self.seed:
-            bit_gen = np.random.Philox(key=seed)  # ValueError for a bad seed
-            # a fresh generator's state: counter 0, empty buffer (buffer_pos 4),
-            # no cached 32-bit half (has_uint32 0, uinteger 0); held as Python
-            # ints, which the state setter reads about 3x faster than uint64 arrays
-            state = bit_gen.state
-            self.counter = state["state"]["counter"].tolist()
-            state["state"] = {"counter": self.counter, "key": state["state"]["key"].tolist()}
-            state["buffer"] = state["buffer"].tolist()
-            self.seed, self.bit_gen, self.state = seed, bit_gen, state
-            self.rng = np.random.Generator(bit_gen)
-        self.counter[2] = frame_index
-        self.bit_gen.state = self.state
-        return self.rng
+    held = (None, None, None, None, None)
+
+    def bind(self, seed: int):
+        bit_gen = np.random.Philox(key=seed)  # ValueError outside 0..2**128 - 1
+        # held as Python ints, which the state setter reads about 3x faster
+        # than the uint64 arrays a fresh generator reports
+        state = bit_gen.state
+        counter = state["state"]["counter"].tolist()
+        state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+        state["buffer"] = state["buffer"].tolist()
+        self.held = (seed, bit_gen, state, counter, np.random.Generator(bit_gen).standard_exponential)
+        return self.held
 
 
 _streams = _FrameStream()
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a Python int, or ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray:
@@ -125,24 +137,34 @@ def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray
 
     The draw is the stream of a Philox generator keyed by ``seed`` from
     counter ``[0, 0, frame_index, 0]``, so each frame owns a disjoint stream
-    regardless of how many draws it consumes.  The calling thread's generator
-    is reset to that counter, so the result depends only on the two
-    arguments: not on earlier calls, nor on other threads.
+    regardless of how many draws it consumes.  The calling thread keeps one
+    generator, for the seed it last drew from, and resets it to that counter
+    before each draw, so the result depends only on the two arguments: not
+    on earlier calls, nor on other threads.  A thread builds a new generator
+    only when the seed differs from the one it holds.
 
     Raises
     ------
     ValueError
-        If ``seed`` is not a valid Philox key (an integer in 0..2**128 - 1),
-        or ``frame_index`` is not an integer in 0..2**64 - 1.
+        If ``seed`` is not an integer in 0..2**128 - 1 (the Philox key's
+        range; a float, a string or None fails too, whatever its value), or
+        ``frame_index`` is not an integer in 0..2**64 - 1.
     """
-    try:
-        t = operator.index(frame_index)
-    except TypeError:
-        raise ValueError(f"frame_index must be an integer, got {frame_index!r}") from None
+    t = frame_index if type(frame_index) is int else _index(frame_index, "frame_index")
     if not 0 <= t < 2**64:
         raise ValueError(f"frame_index must lie in 0..2**64 - 1, got {t}")
+    if type(seed) is not int:
+        seed = _index(seed, "seed")
+    held_seed, bit_gen, state, counter, draw = _streams.held
+    if seed != held_seed:
+        _, bit_gen, state, counter, draw = _streams.bind(seed)
+    counter[2] = t
+    bit_gen.state = state
+    mean_gains = model.mean_gains
     # numpy's exponential(scale) is scale * standard_exponential(), drawn in order
-    return _streams.at_frame(seed, t).standard_exponential(model.n_users) * model.mean_gains
+    gains = draw(mean_gains.size)
+    gains *= mean_gains
+    return gains
 
 
 # the largest feedback_bits: a quantizer holds 2**bits + 1 thresholds per user

@@ -112,7 +112,7 @@ def test_bad_frame_index_rejected(frame_index):
         sample_gains(model_of(2), 0, frame_index)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3", np.float64(3.0), [1, 2], None])
 def test_bad_seed_rejected(seed):
     model = model_of(2)
     expected = reference_gains(model, 5, 9)
@@ -121,3 +121,25 @@ def test_bad_seed_rejected(seed):
         sample_gains(model, seed, 0)
     # the failed rebuild leaves the thread's generator usable
     assert np.array_equal(sample_gains(model, 5, 9), expected)
+
+
+def test_one_generator_per_seed_change(monkeypatch):
+    model = model_of(3)
+    sample_gains(model, 5, 0)  # hold a seed other than the ones counted below
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    for t in range(1000):
+        sample_gains(model, 424242, t)
+    assert built == [424242]
+    built.clear()
+    seeds = [11, 7919, 11, 2**128 - 1, 11]
+    for seed in seeds:
+        for t in range(50):
+            sample_gains(model, seed, t)
+    assert built == seeds
