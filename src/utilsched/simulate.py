@@ -22,7 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MAX_FEEDBACK_BITS, ChannelModel, LinkBudget, Quantizer, achievable_rate, quantize, sample_gains
+from .channel import (
+    MAX_FEEDBACK_BITS,
+    ChannelModel,
+    LinkBudget,
+    Quantizer,
+    _index,
+    achievable_rate,
+    quantize,
+    sample_gains,
+)
 from .errors import NUMERIC_ERRORS, InvariantError
 from .gradsched import _schedule_frames
 from .powercontrol import apply_policy, solve_uplink
@@ -88,7 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0 <= self.seed < 2**128:  # the Philox key's range
+        # an index, not range membership, which a float would scan element by element
+        if not 0 <= _index(self.seed, "seed") < 2**128:  # the Philox key's range
             raise ValueError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
         # building these rejects a negative or non-finite snr_gap_db, mean_snr_db
         # or concavity, and a per-user list of the wrong length

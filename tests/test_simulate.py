@@ -26,6 +26,9 @@ class TestConfig:
         for key, value in (("feedback_bits", 2.5), ("slots", 1.5)):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig(policy="qtsl", **{key: value})
+        # a fractional seed would draw the stream of its integer part
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=1.5, frames=5)
 
     def test_channel_matches_snr(self):
         config = ExperimentConfig(users=3, mean_snr_db=10.0, snr_gap_db=8.2)
