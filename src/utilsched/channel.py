@@ -13,7 +13,7 @@ only when the seed changes.
 import copy
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -167,12 +167,32 @@ def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray
     return gains
 
 
+class _ComparedByValue:
+    """Equality and hashing of a frozen dataclass declared with ``eq=False``.
+
+    Compares the fields with ``compare=True``, as the generated methods
+    would, but reads an array field by value: its shape and bytes.  The
+    arrays are read-only and hold finite positive floats, so equal bytes
+    mean equal elements and the hash cannot go stale.
+    """
+
+    def _key(self):
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 # the largest feedback_bits: a quantizer holds 2**bits + 1 thresholds per user
 MAX_FEEDBACK_BITS = 16
 
 
-@dataclass(frozen=True)
-class Quantizer:
+@dataclass(frozen=True, eq=False)
+class Quantizer(_ComparedByValue):
     """Equal-probability quantizer of exponential gains: 2**feedback_bits bins.
 
     ``mean_gains`` is one mean shared by every user, or one mean per user.

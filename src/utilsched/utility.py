@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, LinkBudget
+from .channel import LN2, LinkBudget, _ComparedByValue
 
 
 class Utility(ABC):
@@ -113,8 +113,8 @@ def _rate_from_energy(share, energy, gain, link: LinkBudget):
     return share * np.log1p(per_share(snr, share)) / LN2
 
 
-@dataclass(frozen=True)
-class LogUtility(Utility):
+@dataclass(frozen=True, eq=False)
+class LogUtility(_ComparedByValue, Utility):
     """U(r) = ln(1 + r/concavity); small concavity saturates early.
 
     ``concavity`` is a scalar shared by every user, or a length-N array of

@@ -137,3 +137,12 @@ class TestValidation:
         u = LogUtility(1)
         assert type(u.concavity) is float
         assert u == LogUtility(1.0) and hash(u) == hash(LogUtility(1.0))
+
+    @pytest.mark.parametrize("make", [LogUtility, lambda values: Quantizer(values, 2)])
+    def test_per_user_values_compare_and_hash_by_value(self, make):
+        a = make([0.1, 0.2])
+        assert a == make([0.1, 0.2]) and hash(a) == hash(make([0.1, 0.2]))
+        assert len({a, make(np.array([0.1, 0.2]))}) == 1
+        for other in ([0.1, 0.3], [0.1, 0.2, 0.3], [0.1], 0.1):
+            assert a != make(other)
+        assert Quantizer([0.1, 0.2], 2) != Quantizer([0.1, 0.2], 3)
