@@ -30,13 +30,16 @@ from utilsched import (
     sweep,
     update_state,
 )
-from utilsched.simulate import BLOCK_FRAMES
+from utilsched import simulate
 from utilsched.timeshare import MAX_BISECT, SIMPLEX_TOL
 from utilsched.utility import as_utility
 
 from test_utility import ScaledLog
 
 LINK = LinkBudget(snr_gap_db=8.2)
+# the block size of the comparisons with a per-frame loop, whose test ids
+# name their frame counts
+BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +230,12 @@ class TestAllocatorRows:
 
 
 class TestBlockFrameLoop:
+    @pytest.fixture(autouse=True)
+    def blocks_of_256(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_FRAMES", BLOCK)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    @pytest.mark.parametrize("frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_ts_equal_per_frame_loop(self, n, frames):
         snr = np.linspace(0.0, 15.0, n)
         config = ExperimentConfig(users=n, mean_snr_db=snr, frames=frames, seed=n)
@@ -242,12 +249,12 @@ class TestBlockFrameLoop:
         {"policy": "qtsl", "users": 4, "slots": 1024, "feedback_bits": 1},
     ])
     def test_gs_and_qtsl_equal_per_frame_loop(self, extra):
-        config = ExperimentConfig(frames=BLOCK_FRAMES + 30, seed=4, **extra)
+        config = ExperimentConfig(frames=BLOCK + 30, seed=4, **extra)
         assert_stats_equal(run_experiment(config), reference_run(config))
 
     def test_heterogeneous_concavity(self):
         config = ExperimentConfig(users=3, concavity=[0.1, 1.0, 10.0], mean_snr_db=[0.0, 20.0, 10.0],
-                                  frames=BLOCK_FRAMES + 5, seed=11)
+                                  frames=BLOCK + 5, seed=11)
         assert_stats_equal(run_experiment(config), reference_run(config))
 
 

@@ -13,9 +13,13 @@ from utilsched import (
     update_state,
 )
 from utilsched.gradsched import _schedule_frames
-from utilsched.simulate import BLOCK_FRAMES
 
 from test_utility import ScaledLog
+
+# row counts about a block boundary; the recursion takes any number of rows,
+# so the block need not be run_experiment's BLOCK_FRAMES, and the test ids
+# name the counts
+BLOCK = 256
 
 
 class TestState:
@@ -149,7 +153,7 @@ class TestScheduleFrames:
     """The array recursion that ``run_experiment`` runs equals the public loop bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    @pytest.mark.parametrize("frames", [BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_equals_public_loop(self, n, frames):
         rng = np.random.default_rng(100 * n + frames)
         rates = rng.exponential(2.0, size=(frames, n))
@@ -178,11 +182,11 @@ class TestScheduleFrames:
     def test_blocks_chained_equal_one_pass(self):
         # run_experiment carries the averages from one block to the next
         rng = np.random.default_rng(5)
-        rates = rng.exponential(1.0, size=(2 * BLOCK_FRAMES + 3, 3))
+        rates = rng.exponential(1.0, size=(2 * BLOCK + 3, 3))
         state = GradientSchedulerState(np.full(3, 0.5), smoothing=0.05)
         avg, chosen = state.avg_rates, []
-        for start in range(0, len(rates), BLOCK_FRAMES):
-            block = rates[start : start + BLOCK_FRAMES]
+        for start in range(0, len(rates), BLOCK):
+            block = rates[start : start + BLOCK]
             block_chosen, avg = _schedule_frames(avg, state.smoothing, block, LogUtility(0.3))
             chosen.append(block_chosen)
         expected_chosen, expected_avg = public_loop(state, rates, LogUtility(0.3))
