@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, LinkBudget, achievable_rate
+from .channel import ChannelModel, LinkBudget, _index, achievable_rate
 from .errors import ConfigError, ConvergenceError
 from .simulate import MAX_JTPC_ENTRIES, _block_gains
 from .timeshare import allocate_ts
@@ -66,10 +66,17 @@ def adapt_weights(
 
     Raises
     ------
+    ConfigError
+        If a setting is out of range, or ``frames`` or ``max_iterations``
+        is not an integer.
     ConvergenceError
         If the spread never falls below ``tolerance``; the best-so-far
         report rides along in ``diagnostics``.
     """
+    try:
+        frames, max_iterations = _index(frames, "frames"), _index(max_iterations, "max_iterations")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not (tolerance > 0 and 0 < step < np.inf and frames >= 1 and max_iterations >= 0):
         raise ConfigError(
             f"adapt_weights needs tolerance > 0, finite step > 0, frames >= 1 and "

@@ -38,7 +38,8 @@ from test_utility import ScaledLog
 
 LINK = LinkBudget(snr_gap_db=8.2)
 # the block size of the comparisons with a per-frame loop, whose test ids
-# name their frame counts
+# name their frame counts; the statistics do not depend on the block size
+# (TestBlockFrameLoop.test_stats_do_not_depend_on_block_size)
 BLOCK = 256
 
 
@@ -251,6 +252,31 @@ class TestBlockFrameLoop:
     def test_gs_and_qtsl_equal_per_frame_loop(self, extra):
         config = ExperimentConfig(frames=BLOCK + 30, seed=4, **extra)
         assert_stats_equal(run_experiment(config), reference_run(config))
+
+    @pytest.mark.parametrize("extra", [
+        {"policy": "ts"},
+        {"policy": "gs"},
+        # 8 x 8 slot increments per frame leave qtsl's blocks at the full size
+        {"policy": "qtsl", "slots": 8, "feedback_bits": 3},
+    ])
+    def test_stats_do_not_depend_on_block_size(self, monkeypatch, extra):
+        # 1030 frames: one block per frame, 148 blocks, or two blocks
+        config = ExperimentConfig(users=8, frames=1030, seed=6, **extra)
+        block_gains, lengths = simulate._block_gains, []
+
+        def counted(model, seed, frames):
+            lengths.append(len(frames))
+            return block_gains(model, seed, frames)
+
+        monkeypatch.setattr(simulate, "_block_gains", counted)
+        runs = []
+        for size in (1, 7, 1024):
+            monkeypatch.setattr(simulate, "BLOCK_FRAMES", size)
+            lengths.clear()
+            stats = run_experiment(config)
+            assert max(lengths) == size  # the policy's blocks took the patched size
+            runs.append({name: np.asarray(value).tobytes() for name, value in vars(stats).items()})
+        assert runs[0] == runs[1] == runs[2]
 
     def test_heterogeneous_concavity(self):
         config = ExperimentConfig(users=3, concavity=[0.1, 1.0, 10.0], mean_snr_db=[0.0, 20.0, 10.0],

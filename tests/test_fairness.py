@@ -14,6 +14,7 @@ from utilsched import (
     average_utilities,
     sample_gains,
 )
+from utilsched.errors import ConfigError
 from utilsched.oracles import grid_search_shares
 
 LINK = LinkBudget(snr_gap_db=8.2)
@@ -163,3 +164,9 @@ class TestAdaptWeights:
         model = ChannelModel.from_snr_db(np.array([0.0]), LINK)
         with pytest.raises(ValueError):
             adapt_weights(model, LogUtility(0.1), LINK, tolerance=0.0)
+
+    @pytest.mark.parametrize("key, value", [("frames", 20.5), ("max_iterations", 2.5)])
+    def test_fractional_count_raises_naming_the_key(self, key, value):
+        model = ChannelModel.from_snr_db(np.array([0.0, 10.0]), LINK)
+        with pytest.raises(ConfigError, match=key):
+            adapt_weights(model, LogUtility(0.1), LINK, **{key: value})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from utilsched import (
     sample_gains,
     sweep,
 )
+from utilsched import simulate as simulate_module
 
 
 class TestConfig:
@@ -29,6 +32,13 @@ class TestConfig:
         # a fractional seed would draw the stream of its integer part
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=1.5, frames=5)
+        # a fractional count fails at construction, not in the run's range()
+        for key, value in (("users", 2.5), ("frames", 10.5)):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(**{key: value})
+        for key, value in (("training_samples", 20.5), ("max_iterations", 2.5)):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(policy="jtpc", **{key: value})
 
     def test_channel_matches_snr(self):
         config = ExperimentConfig(users=3, mean_snr_db=10.0, snr_gap_db=8.2)
@@ -100,8 +110,6 @@ class TestRunExperiment:
         assert stats.n_frames == 300
 
     def test_jtpc_blocks_match_one_block(self, monkeypatch):
-        import utilsched.simulate as simulate_module
-
         config = ExperimentConfig(
             users=2, mean_snr_db=0.0, policy="jtpc", frames=250, training_samples=60,
         )
@@ -115,6 +123,20 @@ class TestRunExperiment:
         assert len(calls) == 3
         for name in ("taur", "mean_rate", "rate_std", "occupancy", "mean_utility"):
             assert np.array_equal(getattr(blocks, name), getattr(one, name)), name
+
+    def test_memory_is_bounded_by_the_block(self):
+        # frames are reduced block by block: ten times the blocks, the same peak
+        run_experiment(ExperimentConfig(users=8, frames=5))  # first-call caches
+        peaks = []
+        for blocks in (3, 30):
+            config = ExperimentConfig(users=8, frames=blocks * simulate_module.BLOCK_FRAMES)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestSweep:
@@ -148,8 +170,6 @@ class TestSweep:
 
 
 def test_programming_error_escapes_sweep(monkeypatch):
-    import utilsched.simulate as simulate_module
-
     def broken(config):
         raise TypeError("not a numeric failure")
 
