@@ -61,18 +61,48 @@ def achievable_rate(gain, power, link: LinkBudget):
     return np.log1p(snr) / LN2
 
 
-@dataclass
-class ChannelModel:
-    """Per-user mean channel power gains for an N-user fading network."""
+class _ComparedByValue:
+    """Equality and hashing of a frozen dataclass declared with ``eq=False``.
+
+    Compares the fields with ``compare=True``, as the generated methods
+    would, but reads an array field by value: its shape and bytes.  The
+    arrays are read-only and hold finite positive floats, so equal bytes
+    mean equal elements and the hash cannot go stale.
+    """
+
+    def _key(self):
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelModel(_ComparedByValue):
+    """Per-user mean channel power gains for an N-user fading network.
+
+    A frozen value: ``mean_gains`` is an owned, read-only copy of the
+    vector passed in, and two models with equal means compare and hash
+    equal.  ``shared_mean`` is derived from it: the one mean every user
+    shares, as a float, or None when the means differ.
+    """
 
     mean_gains: np.ndarray
+    shared_mean: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mean_gains = np.atleast_1d(np.asarray(self.mean_gains, dtype=float))
-        if self.mean_gains.ndim != 1 or self.mean_gains.size < 1:
+        m = np.array(self.mean_gains, dtype=float, ndmin=1)
+        if m.ndim != 1 or m.size < 1:
             raise ValueError("mean_gains must be a nonempty 1-D vector")
-        if not np.all((0 < self.mean_gains) & (self.mean_gains < np.inf)):
-            raise ValueError(f"every mean gain must be finite and > 0, got {self.mean_gains}")
+        if not np.all((0 < m) & (m < np.inf)):
+            raise ValueError(f"every mean gain must be finite and > 0, got {m}")
+        m.flags.writeable = False
+        object.__setattr__(self, "mean_gains", m)
+        object.__setattr__(self, "shared_mean", float(m[0]) if np.all(m == m[0]) else None)
 
     @property
     def n_users(self) -> int:
@@ -101,7 +131,7 @@ class _FrameStream(threading.local):
     thread last drew from, its Philox generator, the state that generator
     is reset to before each draw (a fresh generator's: counter 0, empty
     buffer), the list inside that state holding the counter, and the
-    generator's bound ``standard_exponential``.  Writing the frame index
+    generator's bound ``exponential``.  Writing the frame index
     into ``counter[2]`` and setting ``state`` places the generator at the
     frame's stream.  ``bind`` builds a new tuple, only when the seed
     differs from the held one; a seed it rejects leaves the old one held.
@@ -117,7 +147,7 @@ class _FrameStream(threading.local):
         counter = state["state"]["counter"].tolist()
         state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
         state["buffer"] = state["buffer"].tolist()
-        self.held = (seed, bit_gen, state, counter, np.random.Generator(bit_gen).standard_exponential)
+        self.held = (seed, bit_gen, state, counter, np.random.Generator(bit_gen).exponential)
         return self.held
 
 
@@ -143,6 +173,12 @@ def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray
     on earlier calls, nor on other threads.  A thread builds a new generator
     only when the seed differs from the one it holds.
 
+    numpy's ``exponential(scale, n)`` draws ``scale * standard_exponential()``
+    element by element, in stream order.  A model whose users share one
+    mean draws its frame in that one call; one with per-user means draws
+    at scale 1.0, which leaves each draw exact, and multiplies by the means
+    in place.  Both give the same bits for the same means.
+
     Raises
     ------
     ValueError
@@ -161,30 +197,12 @@ def sample_gains(model: ChannelModel, seed: int, frame_index: int) -> np.ndarray
     counter[2] = t
     bit_gen.state = state
     mean_gains = model.mean_gains
-    # numpy's exponential(scale) is scale * standard_exponential(), drawn in order
-    gains = draw(mean_gains.size)
+    shared_mean = model.shared_mean
+    if shared_mean is not None:
+        return draw(shared_mean, mean_gains.size)
+    gains = draw(1.0, mean_gains.size)
     gains *= mean_gains
     return gains
-
-
-class _ComparedByValue:
-    """Equality and hashing of a frozen dataclass declared with ``eq=False``.
-
-    Compares the fields with ``compare=True``, as the generated methods
-    would, but reads an array field by value: its shape and bytes.  The
-    arrays are read-only and hold finite positive floats, so equal bytes
-    mean equal elements and the hash cannot go stale.
-    """
-
-    def _key(self):
-        values = (getattr(self, f.name) for f in fields(self) if f.compare)
-        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 # the largest feedback_bits: a quantizer holds 2**bits + 1 thresholds per user

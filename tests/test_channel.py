@@ -42,6 +42,16 @@ class TestChannelModel:
         # mean gain recovers the requested average SNR p*E[g]/N0
         assert_allclose(model.mean_gains * link.transmit_power / link.noise_power, [1.0, 10.0])
 
+    def test_means_are_an_owned_read_only_copy(self):
+        means = np.array([1.0, 2.0])
+        model = ChannelModel(means)
+        expected = sample_gains(model, 0, 3)
+        means[0] = 5.0
+        assert np.array_equal(model.mean_gains, [1.0, 2.0])
+        assert np.array_equal(sample_gains(model, 0, 3), expected)
+        with pytest.raises(ValueError):
+            model.mean_gains[0] = 5.0
+
 
 class TestSampleGains:
     def test_deterministic_per_frame(self):

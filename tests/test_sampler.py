@@ -42,23 +42,47 @@ def model_of(n):
     return ChannelModel(np.linspace(0.25, 4.0, n))
 
 
+def shared_model_of(n):
+    return ChannelModel(np.full(n, 2.5))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equals_per_frame_sampler(n, seed):
-    model = model_of(n)
-    for t in FRAMES:
-        assert np.array_equal(sample_gains(model, seed, t), reference_gains(model, seed, t)), t
+    for model in [model_of(n), shared_model_of(n)]:
+        for t in FRAMES:
+            assert np.array_equal(sample_gains(model, seed, t), reference_gains(model, seed, t)), t
+
+
+@pytest.mark.parametrize(
+    ("means", "shared_mean"),
+    [
+        (np.full(8, 2.5), 2.5),
+        (np.linspace(0.25, 4.0, 8), None),
+        (np.full(8, 1e-300), 1e-300),
+        (np.full(8, 1e300), 1e300),
+        (np.array([1e-300, 1e300]), None),
+        # one ulp apart: per-user means, drawn at scale 1.0 and multiplied
+        (np.array([2.5, np.nextafter(2.5, np.inf)]), None),
+    ],
+)
+def test_shared_mean_is_derived_and_draws_equal_per_frame_sampler(means, shared_mean):
+    model = ChannelModel(means)
+    assert model.shared_mean == shared_mean
+    for seed in SEEDS:
+        for t in range(500):
+            assert np.array_equal(sample_gains(model, seed, t), reference_gains(model, seed, t)), t
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_top_frame_indices_take_the_exact_counter(seed):
-    model = model_of(8)
-    for t in [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1025, 2**64 - 1]:
-        expected = exact_counter_gains(model, seed, t)
-        assert np.array_equal(sample_gains(model, seed, t), expected), t
-        assert np.array_equal(sample_gains(model, seed, np.uint64(t)), expected), t
-    # below 2**63 the two references agree
-    assert np.array_equal(exact_counter_gains(model, seed, 2**63 - 1), reference_gains(model, seed, 2**63 - 1))
+    for model in [model_of(8), shared_model_of(8)]:
+        for t in [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1025, 2**64 - 1]:
+            expected = exact_counter_gains(model, seed, t)
+            assert np.array_equal(sample_gains(model, seed, t), expected), t
+            assert np.array_equal(sample_gains(model, seed, np.uint64(t)), expected), t
+        # below 2**63 the two references agree
+        assert np.array_equal(exact_counter_gains(model, seed, 2**63 - 1), reference_gains(model, seed, 2**63 - 1))
 
 
 def test_interleaved_seeds_rebuild_the_generator():

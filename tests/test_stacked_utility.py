@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from utilsched import (
+    ChannelModel,
     GradientSchedulerState,
     LinkBudget,
     LogUtility,
@@ -138,7 +139,7 @@ class TestValidation:
         assert type(u.concavity) is float
         assert u == LogUtility(1.0) and hash(u) == hash(LogUtility(1.0))
 
-    @pytest.mark.parametrize("make", [LogUtility, lambda values: Quantizer(values, 2)])
+    @pytest.mark.parametrize("make", [LogUtility, lambda values: Quantizer(values, 2), ChannelModel])
     def test_per_user_values_compare_and_hash_by_value(self, make):
         a = make([0.1, 0.2])
         assert a == make([0.1, 0.2]) and hash(a) == hash(make([0.1, 0.2]))
