@@ -15,7 +15,7 @@ from utilsched import (
     sample_gains,
 )
 from utilsched.errors import ConfigError
-from utilsched.oracles import grid_search_shares
+from oracles import grid_search_shares
 
 LINK = LinkBudget(snr_gap_db=8.2)
 

@@ -10,8 +10,8 @@ from utilsched import (
     QuantizedScheduler,
     achievable_rate,
     bin_expected_utility,
-    slot_compositions,
 )
+from oracles import exhaustive_allocate, slot_compositions
 
 LINK = LinkBudget(snr_gap_db=8.2)
 
@@ -135,10 +135,10 @@ class TestExhaustive:
     def test_cap_enforced(self):
         sched = make_scheduler(np.full(5, 1.0), 0.1, bits=1, slots=3)
         with pytest.raises(ValueError):
-            sched.exhaustive_allocate([1] * 5)
+            exhaustive_allocate(sched, [1] * 5)
         big = make_scheduler([1.0], 0.1, bits=1, slots=7)
         with pytest.raises(ValueError):
-            big.exhaustive_allocate([1])
+            exhaustive_allocate(big, [1])
 
     def test_greedy_matches_exhaustive_on_random_instances(self):
         rng = np.random.default_rng(33)
@@ -151,7 +151,7 @@ class TestExhaustive:
             )
             states = rng.integers(1, 2**bits + 1, size=n)
             greedy = sched.greedy_allocate(states)
-            best = sched.exhaustive_allocate(states)
+            best = exhaustive_allocate(sched, states)
             assert sched.objective(states, greedy) == sched.objective(states, best)
 
     def test_exhaustive_at_least_greedy_always(self):
@@ -160,7 +160,7 @@ class TestExhaustive:
             sched = make_scheduler(rng.uniform(0.5, 5.0, size=3), 0.2, bits=2, slots=5)
             states = rng.integers(1, 5, size=3)
             assert (
-                sched.objective(states, sched.exhaustive_allocate(states))
+                sched.objective(states, exhaustive_allocate(sched, states))
                 >= sched.objective(states, sched.greedy_allocate(states))
             )
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from utilsched import LogUtility, aggregate_utility, allocate_ts
-from utilsched.oracles import grid_search_shares
+from oracles import grid_search_shares
 
 from test_utility import ScaledLog
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from utilsched import LinkBudget, LogUtility, Utility
 from utilsched.channel import LN2
-from utilsched.oracles import central_difference
+from oracles import central_difference
 from utilsched.utility import as_utility, interior_share_marginal, per_share
 
 
