@@ -31,7 +31,7 @@ from .powercontrol import (
     update_energies,
     update_shares,
 )
-from .quantized import QuantizedScheduler, bin_expected_utility, slot_compositions
+from .quantized import QuantizedScheduler, bin_expected_utility
 from .simulate import ExperimentConfig, SimStats, SweepEntry, run_experiment, sweep
 from .timeshare import MultiplierSolve, aggregate_utility, allocate_ts
 from .utility import LogUtility, Utility

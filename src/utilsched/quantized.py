@@ -10,7 +10,7 @@ Each frame's L slots go to its L largest utility increments, picked for a
 block of frames by one partition.  Because each user's increments shrink
 strictly as its share grows (strict concavity), these are the slots the
 slot-by-slot greedy takes, and by marginal analysis the split is optimal;
-the tests certify it against exhaustive enumeration instance by instance.
+``tests/oracles.py`` enumerates small instances to certify it.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,6 @@ from .utility import as_utility
 
 QUAD_NODES = 64
 TAIL_QUANTILE = 1e-9
-EXHAUSTIVE_MAX_USERS = 4
-EXHAUSTIVE_MAX_SLOTS = 6
 MAX_SLOTS = 1024  # slots per frame: a table row holds n_slots + 1 values
 
 
@@ -73,16 +71,6 @@ def bin_expected_utility(utility, share, state, quantizer: Quantizer, link: Link
     values = np.sum(w * utility.value(share[..., None] * rates) * density, axis=-1) / mass[..., 0]
     values = np.where(share == 0.0, 0.0, values)
     return float(values) if values.ndim == 0 else values
-
-
-def slot_compositions(n_slots: int, n_users: int):
-    """Yield every way to split ``n_slots`` among ``n_users``, lexicographically."""
-    if n_users == 1:
-        yield (n_slots,)
-        return
-    for first in range(n_slots + 1):
-        for rest in slot_compositions(n_slots - first, n_users - 1):
-            yield (first,) + rest
 
 
 @dataclass
@@ -155,24 +143,6 @@ class QuantizedScheduler:
         tied = flat == kth
         take = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= slots - above.sum(axis=1, keepdims=True)))
         return take.reshape(len(block), n, slots).sum(axis=2).reshape(states.shape)
-
-    def exhaustive_allocate(self, states) -> np.ndarray:
-        """Enumerate every slot split and return the best (ties: first in
-        lexicographic order).  Refuses instances above the enumeration cap."""
-        states = self._check_states(states)
-        if self.n_users > EXHAUSTIVE_MAX_USERS or self.n_slots > EXHAUSTIVE_MAX_SLOTS:
-            raise ValueError(
-                f"instance ({self.n_users} users, {self.n_slots} slots) exceeds "
-                f"enumeration cap ({EXHAUSTIVE_MAX_USERS}, {EXHAUSTIVE_MAX_SLOTS})"
-            )
-        best_counts = None
-        best_value = -np.inf
-        for counts in slot_compositions(self.n_slots, self.n_users):
-            value = self.objective(states, counts)
-            if value > best_value:
-                best_value = value
-                best_counts = counts
-        return np.array(best_counts, dtype=int)
 
     def objective(self, states, counts) -> float:
         """Sum of bin-conditional expected utilities for a slot split."""
