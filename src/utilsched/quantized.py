@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LinkBudget, Quantizer, achievable_rate
+from .channel import LinkBudget, Quantizer, _index, achievable_rate
 from .utility import as_utility
 
 QUAD_NODES = 64
@@ -54,8 +54,9 @@ def bin_expected_utility(utility, share, state, quantizer: Quantizer, link: Link
         raise ValueError(f"need one user's quantizer (for_user), got {np.size(mean_gain)} mean gains")
     if not np.all((share >= 0.0) & (share <= 1.0)):  # NaN fails too
         raise ValueError(f"share must lie in [0, 1], got {share}")
-    if not np.all((1 <= state) & (state <= quantizer.n_states)):
-        raise ValueError(f"state must lie in 1..{quantizer.n_states}, got {state}")
+    # as for a seed, a float state fails even when its value is whole
+    if not (np.issubdtype(state.dtype, np.integer) and np.all((1 <= state) & (state <= quantizer.n_states))):
+        raise ValueError(f"state must lie in 1..{quantizer.n_states} and be an integer, got {state}")
     # one bin per state, broadcast over the share axes and the nodes
     state = state.reshape(state.shape + (1,) * (share.ndim + 1))
     lower = quantizer.thresholds[state - 1]
@@ -100,6 +101,12 @@ class QuantizedScheduler:
 
     def share_utilities(self, user: int, state: int) -> np.ndarray:
         """Expected utilities of user at shares 0, 1/L, ..., 1 given its state."""
+        user = _index(user, "user")
+        if not 0 <= user < self.n_users:  # the key below would alias another user's row
+            raise ValueError(f"user must lie in 0..{self.n_users - 1}, got {user}")
+        state = _index(state, f"the state of user {user}")
+        if not 1 <= state <= self.quantizer.n_states:
+            raise ValueError(f"state {state} out of range for user {user}")
         key = state * self.n_users + user
         if key not in self._table:
             self._fill(user, [state])
@@ -145,8 +152,13 @@ class QuantizedScheduler:
         return take.reshape(len(block), n, slots).sum(axis=2).reshape(states.shape)
 
     def objective(self, states, counts) -> float:
-        """Sum of bin-conditional expected utilities for a slot split."""
-        states = self._check_states(states)
+        """Sum of bin-conditional expected utilities for a slot split, N
+        non-negative integer counts that sum to L."""
+        states, counts = self._check_states(states), np.asarray(counts)
+        if not (np.issubdtype(counts.dtype, np.integer) and counts.shape == (self.n_users,)
+                and np.all((0 <= counts) & (counts <= self.n_slots)) and counts.sum() == self.n_slots):
+            raise ValueError(
+                f"need {self.n_users} non-negative integer counts summing to {self.n_slots}, got {counts}")
         return float(
             sum(
                 self.share_utilities(i, states[i])[counts[i]]
@@ -158,13 +170,16 @@ class QuantizedScheduler:
         return np.asarray(counts, dtype=float) / self.n_slots
 
     def _check_states(self, states, max_ndim: int = 1) -> np.ndarray:
-        """States as ints: one frame (N,), or a block (T, N) if ``max_ndim`` is 2."""
-        states = np.atleast_1d(np.asarray(states, dtype=int))
+        """Integer states: one frame (N,), or a block (T, N) if ``max_ndim`` is 2."""
+        states = np.atleast_1d(np.asarray(states))
         if states.ndim > max_ndim or states.shape[-1] != self.n_users:
             raise ValueError(f"expected {self.n_users} states per frame, got shape {states.shape}")
-        bad = np.argwhere((states < 1) | (states > self.quantizer.n_states))
+        integral = np.issubdtype(states.dtype, np.integer)  # as for a seed: a whole float fails too
+        bad = (states < 1) | (states > self.quantizer.n_states) if integral else np.ones(states.shape, bool)
+        bad = np.argwhere(bad)
         if bad.size:
             *frame, user = bad[0]
             where = f"frame {frame[0]}, user {user}" if frame else f"user {user}"
-            raise ValueError(f"state {states[tuple(bad[0])]} out of range for {where}")
+            what = "out of range" if integral else "is not an integer"
+            raise ValueError(f"state {states[tuple(bad[0])]} {what} for {where}")
         return states

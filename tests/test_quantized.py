@@ -192,6 +192,56 @@ class TestValidation:
         sched = make_scheduler([1.0, 2.0], 0.1, bits=0, slots=limit)
         assert sched.greedy_allocate([1, 1]).sum() == limit
 
+    @staticmethod
+    def three_users():
+        return make_scheduler([1.0, 2.0, 4.0], [0.1, 1.0, 10.0], bits=2, slots=4)
+
+    def test_bad_user_leaves_the_cache_alone(self):
+        # rows are keyed by state * N + user: user -1 at state 2 is user 2 at state 1
+        fresh, sched = self.three_users(), self.three_users()
+        for user in (-1, 3):
+            with pytest.raises(ValueError, match=f"user must lie in 0..2, got {user}"):
+                sched.share_utilities(user, 2)
+            with pytest.raises(ValueError, match=f"user must lie in 0..2, got {user}"):
+                sched.increments(user, 2)
+        with pytest.raises(ValueError, match="user must be an integer"):
+            sched.share_utilities(1.0, 2)
+        assert np.array_equal(sched.share_utilities(2, 1), fresh.share_utilities(2, 1))
+        assert sched.objective([4, 1, 1], [2, 1, 1]) == fresh.objective([4, 1, 1], [2, 1, 1])
+
+    def test_non_integer_state_raises_naming_the_user(self):
+        sched = self.three_users()
+        for state in (2.5, 2.0):
+            with pytest.raises(ValueError, match="state of user 0 must be an integer"):
+                sched.share_utilities(0, state)
+            with pytest.raises(ValueError, match="state of user 1 must be an integer"):
+                sched.increments(1, state)
+            with pytest.raises(ValueError, match="state must lie in 1..4 and be an integer"):
+                bin_expected_utility(LogUtility(0.1), 0.5, state, Quantizer(1.0, 2), LINK)
+        for state in (0, 5):
+            with pytest.raises(ValueError, match=f"state {state} out of range for user 2"):
+                sched.share_utilities(2, state)
+
+    def test_fractional_states_are_not_truncated(self):
+        # a float fails even when its value is whole, as a seed does
+        sched = self.three_users()
+        with pytest.raises(ValueError, match="state 1.5 is not an integer for user 0"):
+            sched.greedy_allocate([1.5, 2.7, 4.9])
+        with pytest.raises(ValueError, match="state 1.0 is not an integer for frame 0, user 0"):
+            sched.greedy_allocate(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="not an integer"):
+            sched.objective([4.0, 1.0, 1.0], [2, 1, 1])
+
+    def test_objective_scores_only_feasible_splits(self):
+        sched = self.three_users()
+        states = [4, 1, 1]
+        for counts in ([-1, 4, 1], [4, 4, 4], [4], [1.0, 2.0, 1.0], [2, 1, 1, 0], [5, -1, 0]):
+            with pytest.raises(ValueError, match="need 3 non-negative integer counts summing to 4"):
+                sched.objective(states, counts)
+        # any integer dtype, list or tuple scores the same split
+        split = sched.objective(states, (2, 1, 1))
+        assert sched.objective(states, np.array([2, 1, 1], dtype=np.int32)) == split
+
 
 def reference_greedy(sched, states):
     """The slot-by-slot greedy on one frame, from scalar quadrature calls.
