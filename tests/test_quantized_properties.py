@@ -1,11 +1,14 @@
 """Property tests of the quantizer and the quantized slot allocator.
 
 Quantizer bins are closed on the left at every threshold; the greedy slot
-pick is optimal against exhaustive enumeration on every small instance and
-picks the slots a stable sort of the increments does, ties included; and a
+pick is optimal against exhaustive enumeration on every small instance, no
+single-slot transfer improves it on larger ones, and it picks the slots a
+stable sort of the increments does, ties included; and a
 bin-conditional expected utility never falls as the share grows, and is the
 same bits whether its states come one at a time or as an array.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from utilsched import (  # noqa: E402
+    ExperimentConfig,
     LinkBudget,
     LogUtility,
     QuantizedScheduler,
     Quantizer,
     bin_expected_utility,
     quantize,
+    sample_gains,
 )
 from oracles import exhaustive_allocate  # noqa: E402
 
@@ -40,10 +45,11 @@ def test_quantize_closed_on_the_left_at_every_threshold(mean_gain, bits):
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 4))
-    slots = draw(st.integers(1, 6))
-    bits = draw(st.integers(0, 3))
+def instances(draw, users=st.integers(1, 4), slot_counts=st.integers(1, 6),
+              feedback_bits=st.integers(0, 3)):
+    n = draw(users)
+    slots = draw(slot_counts)
+    bits = draw(feedback_bits)
     means = draw(st.lists(st.floats(0.1, 50.0), min_size=n, max_size=n))
     concavity = draw(st.lists(CONCAVITY, min_size=n, max_size=n))
     states = draw(st.lists(st.integers(1, 2**bits), min_size=n, max_size=n))
@@ -60,6 +66,40 @@ def test_greedy_matches_exhaustive_objective(instance):
     best = scheduler.objective(states, exhaustive_allocate(scheduler, states))
     # equal splits sum the same terms; a tie between users may reorder the sum
     assert scheduler.objective(states, greedy) == pytest.approx(best, rel=1e-14, abs=1e-300)
+
+
+def best_transfer_gain(scheduler, states, counts):
+    """The largest relative rise of ``objective`` from moving one slot from
+    one user to another.  Each user's term is concave in its slots, so a
+    split no such move improves is optimal (Ibaraki and Katoh, *Resource
+    Allocation Problems*, 1988)."""
+    base = scheduler.objective(states, counts)
+    gain = 0.0
+    for i, j in permutations(range(scheduler.n_users), 2):
+        if counts[i]:
+            moved = counts.copy()
+            moved[i] -= 1
+            moved[j] += 1
+            gain = max(gain, scheduler.objective(states, moved) - base)
+    return gain / base
+
+
+@given(instances(st.integers(2, 8), st.integers(1, 64), st.integers(1, 4)))
+def test_no_single_slot_transfer_improves_greedy(instance):
+    # beyond the enumeration cap: up to 8 users and 64 slots
+    scheduler, states = instance
+    assert best_transfer_gain(scheduler, states, scheduler.greedy_allocate(states)) <= 1e-14
+
+
+def test_no_single_slot_transfer_improves_greedy_at_the_benchmark_shape():
+    # the benchmark's qtsl point: N=8 at 10 dB, 8 slots, 3 bits, A=0.1; seed 0's first 256 frames
+    config = ExperimentConfig(users=8, policy="qtsl", slots=8, feedback_bits=3, concavity=0.1, seed=0)
+    model = config.channel()
+    quantizer = Quantizer(model.mean_gains, config.feedback_bits)
+    scheduler = QuantizedScheduler(config.utilities(), quantizer, config.link(), config.slots)
+    states = quantize(np.stack([sample_gains(model, config.seed, t) for t in range(256)]), quantizer)
+    counts = scheduler.greedy_allocate(states)
+    assert max(best_transfer_gain(scheduler, s, c) for s, c in zip(states, counts)) <= 1e-14
 
 
 @given(
