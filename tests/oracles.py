@@ -2,12 +2,15 @@
 
 These deliberately avoid the solvers' machinery: the grid search evaluates
 the raw objective on a dense simplex grid, the derivative checks use
-centered finite differences, and the slot enumerator scores every split
-through the scheduler's public ``objective``.  Agreement between a solver
-and its reference is the project's main correctness evidence.
+centered finite differences, the slot enumerator scores every split
+through the scheduler's public ``objective``, and the time-sharing endpoints
+are one-dimensional integrals by Gauss-Laguerre quadrature.  Agreement
+between a solver and its reference is the project's main correctness
+evidence.
 """
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
 from utilsched.utility import as_utility
 
@@ -75,3 +78,23 @@ def exhaustive_allocate(scheduler, states) -> np.ndarray:
             best_value = value
             best_counts = counts
     return np.array(best_counts, dtype=int)
+
+
+def ts_endpoints(n_users: int, mean_snr_db: float, snr_gap_db: float, nodes: int = 150):
+    """Exact per-user (mean rate, rate std) of log-family time sharing among
+    ``n_users`` symmetric Rayleigh users, as A -> 0 and as A -> infinity.
+
+    A user's peak rate is c = log2(1 + rho X), with X ~ Exp(1) and rho the
+    mean SNR over the gap.  As A -> 0 every user gets 1/N of each frame, so
+    the mean rate is E[c]/N and the std sd(c)/N.  As A -> infinity the best
+    user takes the frame, so the mean rate is E[max c]/N and the std
+    sqrt(E[max c^2]/N - (E[max c]/N)^2); max X has density
+    N (1 - e^-x)^(N-1) e^-x.  A Gauss-Laguerre rule integrates against e^-x.
+    """
+    n = n_users
+    x, w = laggauss(nodes)
+    c = np.log2(1.0 + 10.0 ** ((mean_snr_db - snr_gap_db) / 10.0) * x)
+    mean_c, mean_c2 = w @ c, w @ c**2
+    w_max = w * n * (-np.expm1(-x)) ** (n - 1)
+    max_c, max_c2 = w_max @ c, w_max @ c**2
+    return (mean_c / n, np.sqrt(mean_c2 - mean_c**2) / n), (max_c / n, np.sqrt(max_c2 / n - (max_c / n) ** 2))
