@@ -156,15 +156,11 @@ class QuantizedScheduler:
         non-negative integer counts that sum to L."""
         states, counts = self._check_states(states), np.asarray(counts)
         if not (np.issubdtype(counts.dtype, np.integer) and counts.shape == (self.n_users,)
-                and np.all((0 <= counts) & (counts <= self.n_slots)) and counts.sum() == self.n_slots):
+                and np.all((0 <= counts) & (counts <= self.n_slots))  # so the sum cannot wrap
+                and counts.sum() == self.n_slots):
             raise ValueError(
                 f"need {self.n_users} non-negative integer counts summing to {self.n_slots}, got {counts}")
-        return float(
-            sum(
-                self.share_utilities(i, states[i])[counts[i]]
-                for i in range(self.n_users)
-            )
-        )
+        return float(sum(self.share_utilities(i, states[i])[counts[i]] for i in range(self.n_users)))
 
     def shares(self, counts) -> np.ndarray:
         return np.asarray(counts, dtype=float) / self.n_slots
@@ -174,12 +170,12 @@ class QuantizedScheduler:
         states = np.atleast_1d(np.asarray(states))
         if states.ndim > max_ndim or states.shape[-1] != self.n_users:
             raise ValueError(f"expected {self.n_users} states per frame, got shape {states.shape}")
-        integral = np.issubdtype(states.dtype, np.integer)  # as for a seed: a whole float fails too
-        bad = (states < 1) | (states > self.quantizer.n_states) if integral else np.ones(states.shape, bool)
-        bad = np.argwhere(bad)
+        if states.size and not np.issubdtype(states.dtype, np.integer):  # as for a seed: a whole float fails too
+            where = "frame 0, user 0" if states.ndim == 2 else "user 0"
+            raise ValueError(f"state {states.flat[0]} is not an integer for {where}")
+        bad = np.argwhere((states < 1) | (states > self.quantizer.n_states))
         if bad.size:
             *frame, user = bad[0]
             where = f"frame {frame[0]}, user {user}" if frame else f"user {user}"
-            what = "out of range" if integral else "is not an integer"
-            raise ValueError(f"state {states[tuple(bad[0])]} {what} for {where}")
-        return states
+            raise ValueError(f"state {states[tuple(bad[0])]} out of range for {where}")
+        return states.astype(np.intp, copy=False)  # a narrow dtype would wrap the row keys

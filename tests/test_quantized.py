@@ -232,10 +232,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="not an integer"):
             sched.objective([4.0, 1.0, 1.0], [2, 1, 1])
 
+    def test_narrow_integer_states_are_not_wrapped(self):
+        # 200 * 2 users is 144 in uint8: the row key of user 0 at state 72
+        sched = make_scheduler([1.0, 1.0], 0.1, bits=8, slots=8)
+        for states in ([200, 100], [[200, 100], [200, 150]]):
+            expected = sched.greedy_allocate(states)
+            assert np.array_equal(sched.greedy_allocate(np.array(states, np.uint8)), expected)
+        assert sched.objective(np.array([200, 100], np.uint8), [4, 4]) == sched.objective([200, 100], [4, 4])
+
     def test_objective_scores_only_feasible_splits(self):
         sched = self.three_users()
         states = [4, 1, 1]
-        for counts in ([-1, 4, 1], [4, 4, 4], [4], [1.0, 2.0, 1.0], [2, 1, 1, 0], [5, -1, 0]):
+        for counts in ([-1, 4, 1], [4, 4, 4], [4], [1.0, 2.0, 1.0], [2, 1, 1, 0], [5, -1, 0],
+                       [2**63 - 1, 2**63 - 1, 6]):  # the last sums to 4 in int64
             with pytest.raises(ValueError, match="need 3 non-negative integer counts summing to 4"):
                 sched.objective(states, counts)
         # any integer dtype, list or tuple scores the same split
