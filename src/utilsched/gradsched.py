@@ -7,11 +7,12 @@ per-frame time-sharing allocator is compared against: it maximizes mean rate
 at the cost of large swings in the instantaneous rate.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .utility import as_utility
+from .utility import LogUtility, as_utility
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class GradientSchedulerState:
 def select_user(state: GradientSchedulerState, peak_rates, utilities) -> int:
     """Index of argmax_i U_i'(R_i) * c_i; ties go to the lowest index."""
     c = np.atleast_1d(np.asarray(peak_rates, dtype=float))
+    if c.shape != state.avg_rates.shape or not np.all(c >= 0):  # NaN fails too
+        raise ValueError(f"need one peak rate >= 0 per user ({state.avg_rates.size}), got {c}")
     scores = as_utility(utilities, c.size).derivative(state.avg_rates) * c
     return int(np.argmax(scores))
 
@@ -56,18 +59,32 @@ def _schedule_frames(avg_rates, smoothing: float, rates, utilities):
     """Run ``select_user`` then ``update_state`` over the rows of ``rates``.
 
     Returns the user chosen in each frame and the final average rates.  The
-    utility is resolved and ``smoothing * rates`` formed once per call; the
-    float operations are the two public functions', in the same order, so
-    both results match the per-frame loop bit for bit.
+    recursion runs on Python floats: at a few users that costs less than the
+    per-call overhead of numpy on short arrays.  The float operations are the
+    two public functions', in the same order, and the pick follows
+    ``np.argmax`` (the first NaN, else the first maximum), so both results
+    match the per-frame loop bit for bit.  A log utility's scores are formed
+    in the loop; any other utility's slopes come from one ``derivative`` call
+    per frame.
     """
-    derivative = as_utility(utilities, rates.shape[1]).derivative
+    utility = as_utility(utilities, rates.shape[1])
+    if type(utility) is LogUtility:
+        concavity = np.broadcast_to(utility.concavity, rates.shape[1]).tolist()
+    else:
+        concavity = None
     keep = 1.0 - smoothing
-    steps = smoothing * rates
-    avg = avg_rates
-    chosen = np.empty(len(rates), dtype=np.intp)
-    for i, c in enumerate(rates):
-        k = (derivative(avg) * c).argmax()
-        avg = keep * avg
-        avg[k] += steps[i, k]
-        chosen[i] = k
-    return chosen, avg
+    avg = avg_rates.tolist()
+    chosen = []
+    for c in rates.tolist():
+        if concavity is None:
+            slopes = utility.derivative(np.array(avg)).tolist()
+            scores = [slope * rate for slope, rate in zip(slopes, c)]
+        else:
+            scores = [1.0 / (a + r) * rate for a, r, rate in zip(concavity, avg, c)]
+        k = scores.index(max(scores))
+        if math.isnan(sum(scores)):  # a NaN score, which np.argmax picks first, or inf - inf
+            k = next((j for j, score in enumerate(scores) if score != score), k)
+        avg = [keep * r for r in avg]
+        avg[k] += smoothing * c[k]
+        chosen.append(k)
+    return np.array(chosen, dtype=np.intp), np.array(avg)

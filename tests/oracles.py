@@ -3,10 +3,11 @@
 These deliberately avoid the solvers' machinery: the grid search evaluates
 the raw objective on a dense simplex grid, the derivative checks use
 centered finite differences, the slot enumerator scores every split
-through the scheduler's public ``objective``, and the time-sharing endpoints
-are one-dimensional integrals by Gauss-Laguerre quadrature.  Agreement
-between a solver and its reference is the project's main correctness
-evidence.
+through the scheduler's public ``objective``, the time-sharing endpoints
+are one-dimensional integrals by Gauss-Laguerre quadrature, and the
+gradient-scheduling recursion runs as numpy calls on each frame's arrays.
+Agreement between a solver and its reference is the project's main
+correctness evidence.
 """
 
 import numpy as np
@@ -78,6 +79,27 @@ def exhaustive_allocate(scheduler, states) -> np.ndarray:
             best_value = value
             best_counts = counts
     return np.array(best_counts, dtype=int)
+
+
+def schedule_frames_numpy(avg_rates, smoothing: float, rates, utilities):
+    """The gradient-scheduling recursion of ``select_user`` and
+    ``update_state`` as numpy calls on each frame's arrays, without their
+    input checks: infinite rates pass, and ``0 * inf`` makes a NaN score,
+    which ``argmax`` picks first.  Returns the chosen users and the final
+    averages."""
+    derivative = as_utility(utilities, rates.shape[1]).derivative
+    keep = 1.0 - smoothing
+    steps = smoothing * rates
+    avg = avg_rates
+    chosen = np.empty(len(rates), dtype=np.intp)
+    # 0 * inf is invalid, and a tiny concavity times a large rate overflows
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, c in enumerate(rates):
+            k = (derivative(avg) * c).argmax()
+            avg = keep * avg
+            avg[k] += steps[i, k]
+            chosen[i] = k
+    return chosen, avg
 
 
 def ts_endpoints(n_users: int, mean_snr_db: float, snr_gap_db: float, nodes: int = 150):

@@ -14,6 +14,7 @@ from utilsched import (
 )
 from utilsched.gradsched import _schedule_frames
 
+from oracles import schedule_frames_numpy
 from test_utility import ScaledLog
 
 # row counts about a block boundary; the recursion takes any number of rows,
@@ -83,6 +84,31 @@ class TestSelect:
     def test_tie_breaks_to_lowest_index(self):
         state = GradientSchedulerState(np.array([1.0, 1.0, 1.0]))
         assert select_user(state, [2.0, 2.0, 2.0], LogUtility(1.0)) == 0
+
+    # on these averages a single rate used to be broadcast to every user,
+    # and user 1 won; two or four rates failed in numpy's broadcasting
+    @pytest.mark.parametrize("rates", [[2.0], [1.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_one_rate_per_user(self, rates):
+        state = GradientSchedulerState(np.array([0.5, 0.0, 0.2]))
+        with pytest.raises(ValueError, match=r"one peak rate >= 0 per user \(3\)"):
+            select_user(state, rates, LogUtility(1.0))
+
+    def test_nan_rate_raises(self):
+        # the NaN user used to be selected
+        state = GradientSchedulerState(np.array([0.5, 0.0, 0.2]))
+        with pytest.raises(ValueError, match="one peak rate >= 0 per user"):
+            select_user(state, [1.0, np.nan, 1.0], LogUtility(1.0))
+
+    def test_negative_rates_raise(self):
+        # user 1, the least negative score, used to be selected
+        state = GradientSchedulerState(np.array([0.5, 0.0, 0.2]))
+        with pytest.raises(ValueError, match="one peak rate >= 0 per user"):
+            select_user(state, [-5.0, -1.0, -3.0], LogUtility(1.0))
+
+    def test_infinite_rate_is_allowed(self):
+        # as in allocate_ts, an infinite rate takes the frame
+        state = GradientSchedulerState(np.array([0.5, 0.0, 0.2]))
+        assert select_user(state, [1.0, 1.0, np.inf], LogUtility(1.0)) == 2
 
 
 class TestUpdate:
@@ -176,6 +202,21 @@ class TestScheduleFrames:
         chosen, avg = _schedule_frames(state.avg_rates, state.smoothing, rates, LogUtility(1.0))
         expected_chosen, expected_avg = public_loop(state, rates, LogUtility(1.0))
         assert chosen[0] == 0
+        assert np.array_equal(chosen, expected_chosen)
+        assert np.array_equal(avg, expected_avg)
+
+    # frame 1 scores the user holding an infinite average at 0 * inf = NaN;
+    # argmax takes the first NaN, even behind an infinite score (user 0,
+    # then the same block with users 0 and 1 swapped)
+    @pytest.mark.parametrize("order, expected", [([0, 1, 2], [0, 0, 1, 0]), ([1, 0, 2], [1, 1, 0, 0])],
+                             ids=["nan-first", "nan-behind-inf"])
+    def test_nan_score_goes_first(self, order, expected):
+        inf = np.inf
+        rates = np.array([[inf, 1, inf], [inf, inf, 2], [1, inf, inf], [0, 0, 0]])[:, order]
+        chosen, avg = _schedule_frames(np.zeros(3), 0.01, rates, LogUtility(0.1))
+        expected_chosen, expected_avg = schedule_frames_numpy(np.zeros(3), 0.01, rates, LogUtility(0.1))
+        assert expected_chosen.tolist() == expected
+        assert expected_avg.tolist() == [inf, inf, 0.0]
         assert np.array_equal(chosen, expected_chosen)
         assert np.array_equal(avg, expected_avg)
 
